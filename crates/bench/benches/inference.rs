@@ -5,7 +5,7 @@
 //! * the EP engine-farm scaling study — sequential vs multi-threaded
 //!   sweeps on a 64-site model (`ep_farm_speedup_*`);
 //! * the warm-vs-cold corrector study — incremental warm-started chained
-//!   correction vs the cold rebuild-per-chunk baseline on the fig6-style
+//!   correction vs the cold-load-per-chunk baseline on the fig6-style
 //!   workload (`corrector_warm_speedup`). With `BENCH_GATE=1` the warm
 //!   arm rides the same paired interval gate as `bench_json`'s
 //!   `cold_over_warm` entry: the one-sided 99.5% interval on the mean
@@ -14,14 +14,12 @@
 
 use bayesperf_bench::gate::GateConfig;
 use bayesperf_core::corrector::{Corrector, CorrectorConfig};
-use bayesperf_core::model::{build_chunk_model, ModelConfig};
+use bayesperf_core::model::{ChunkEngine, ModelConfig};
 use bayesperf_events::{Arch, Catalog};
 use bayesperf_inference::{EpConfig, ExpectationPropagation, FnSite, Gaussian};
 use bayesperf_simcpu::{pack_round_robin, MultiplexRun, Pmu, PmuConfig, Sample};
 use bayesperf_workloads::kmeans;
 use criterion::{criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
 fn chunk_fixture(cat: &Catalog) -> Vec<Vec<Sample>> {
@@ -71,9 +69,9 @@ fn bench_ep_chunk(c: &mut Criterion) {
     };
     c.bench_function("ep_chunk_inference", |b| {
         b.iter(|| {
-            let model = build_chunk_model(&cat, &windows, &cfg, None, cfg.fast_ep());
-            let mut rng = StdRng::seed_from_u64(1);
-            std::hint::black_box(model.run(&mut rng));
+            let mut engine = ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), windows.len());
+            engine.load_cold(&windows);
+            std::hint::black_box(engine.run_farm(1, 1));
         })
     });
 }
@@ -104,14 +102,14 @@ fn bench_corrector_run(c: &mut Criterion) {
 
 fn bench_engine_farm(c: &mut Criterion) {
     c.bench_function("ep_farm_64sites_sequential", |b| {
-        b.iter(|| std::hint::black_box(farm_model().run_parallel(1, 1)))
+        b.iter(|| std::hint::black_box(farm_model().run_farm(1, 1)))
     });
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let threads = hw.clamp(2, 8);
     c.bench_function("ep_farm_64sites_parallel", |b| {
-        b.iter(|| std::hint::black_box(farm_model().run_parallel(1, threads)))
+        b.iter(|| std::hint::black_box(farm_model().run_farm(1, threads)))
     });
     // Honor the same CLI name filter bench_function applies, so e.g.
     // `cargo bench ... ep_chunk_inference` doesn't pay for ~32 unrequested
@@ -135,8 +133,8 @@ fn report_paired_speedup(threads: usize, hw: usize) {
         15
     };
     // One warm-up pair, discarded.
-    let _ = time(|| farm_model().run_parallel(0, 1));
-    let _ = time(|| farm_model().run_parallel(0, threads));
+    let _ = time(|| farm_model().run_farm(0, 1));
+    let _ = time(|| farm_model().run_farm(0, threads));
     // Per-arm pair counters: each arm runs once per pair, so both see the
     // same sweep seed within a pair (matched workloads, like the old loop).
     let mut p_seq = 0u64;
@@ -146,12 +144,12 @@ fn report_paired_speedup(threads: usize, hw: usize) {
         .seed(0xFA12)
         .run_paired(
             || {
-                let t = time(|| farm_model().run_parallel(p_par, threads));
+                let t = time(|| farm_model().run_farm(p_par, threads));
                 p_par += 1;
                 t
             },
             || {
-                let t = time(|| farm_model().run_parallel(p_seq, 1));
+                let t = time(|| farm_model().run_farm(p_seq, 1));
                 p_seq += 1;
                 t
             },
@@ -200,7 +198,7 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
 }
 
 /// Paired interleaved warm-vs-cold measurement on the shared
-/// [`GateConfig::run_paired`] harness: run the cold rebuild-per-chunk
+/// [`GateConfig::run_paired`] harness: run the cold-load-per-chunk
 /// baseline and the warm-started incremental path back to back (seeded
 /// coin-flip order inside each pair) on the same recorded run, and report
 /// the mean per-pair ratio with its one-sided 99.5% Student-t interval

@@ -267,8 +267,8 @@ fn main() {
     let _ = warm_once(&mut warm_corr);
 
     // Gate 1 — warm-vs-cold speedup. Arm A streams warm chunks through the
-    // persistent corrector (steady state), arm B is the cold
-    // rebuild-per-chunk baseline. The arms run as back-to-back pairs in
+    // persistent corrector (steady state), arm B is the cold-load-per-chunk
+    // baseline. The arms run as back-to-back pairs in
     // coin-flip order (a paired gate: machine drift divides out inside
     // each pair), and the gate requires the speedup's *lower* confidence
     // bound to clear 1/0.9.

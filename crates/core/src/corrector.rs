@@ -2,17 +2,19 @@
 //!
 //! Two execution strategies, selected by [`CorrectorConfig`]:
 //!
-//! * **chained** (the paper's default): chunks run sequentially, each
-//!   chunk's slice-0 prior seeded from the previous chunk's final-slice
-//!   posterior. With [`CorrectorConfig::warm_start`] (the default) the
-//!   corrector keeps **one** [`ChunkEngine`] alive across the whole run:
-//!   the factor-graph topology, sweep schedule, EP site messages and all
-//!   MCMC/analytic scratch survive from window to window, and each chunk
-//!   only swaps observations and warm-starts — the steady-state loop
-//!   (chunk 2+) performs **zero heap allocations** at `threads = 1` and
-//!   converges in 1–2 sweeps with shrunken MCMC budgets instead of the
-//!   full cold budget. Disabling `warm_start` restores the paper-faithful
-//!   cold rebuild per chunk (the benchmark baseline).
+//! * **chained** (the paper's default): chunks run sequentially through
+//!   [`Corrector::push_chunk`], each chunk's slice-0 prior seeded from the
+//!   previous chunk's final-slice posterior. The corrector keeps **one**
+//!   [`ChunkEngine`] alive across the whole run: the factor-graph
+//!   topology, sweep schedule and all MCMC/analytic scratch survive from
+//!   window to window, and each chunk only swaps observations. With
+//!   [`CorrectorConfig::warm_start`] (the default) the EP site messages
+//!   survive too — the steady-state loop (chunk 2+) performs **zero heap
+//!   allocations** at `threads = 1` and converges in 1–2 sweeps with
+//!   shrunken MCMC budgets instead of the full cold budget. Disabling
+//!   `warm_start` discards the messages per chunk and runs the
+//!   paper-faithful full cold budget (the benchmark baseline). A ragged
+//!   final chunk goes through [`Corrector::push_tail`].
 //! * **independent**: prior chaining disabled, which removes the only
 //!   cross-chunk data dependency — chunks then run concurrently on
 //!   `std::thread::scope` workers, each chunk on its own deterministic
@@ -26,7 +28,7 @@
 //! [`Corrector::correct_windows`] path).
 
 use crate::error::ShimError;
-use crate::model::{build_chunk_model, ChunkEngine, ChunkPosterior, ModelConfig};
+use crate::model::{ChunkEngine, ChunkPosterior, ModelConfig};
 use bayesperf_events::{Catalog, EventId};
 use bayesperf_inference::{derive_stream_seed, EpConfig, EpRunStats, Gaussian};
 use bayesperf_simcpu::{MultiplexRun, Sample};
@@ -96,9 +98,10 @@ impl CorrectorConfig {
         self
     }
 
-    /// Disables warm-start: every chained chunk rebuilds and runs cold
-    /// EP from scratch (the pre-incremental baseline the warm-vs-cold
-    /// benchmark pairs against).
+    /// Disables warm-start: every chained chunk discards the EP messages
+    /// and runs cold EP from the vacuous approximation (the
+    /// pre-incremental baseline the warm-vs-cold benchmark pairs
+    /// against).
     pub fn cold_start(mut self) -> Self {
         self.warm_start = false;
         self
@@ -368,15 +371,16 @@ impl<'a> Corrector<'a> {
 
     /// Corrects a **partial** final chunk (fewer than `config.model.slices`
     /// windows) — the stream's ragged tail that [`Corrector::push_chunk`]
-    /// cannot accept. Runs a one-shot cold model chained off the last full
-    /// chunk's posterior (the batch [`Corrector::correct_slices`] warm
-    /// path calls this too, so a streamed run followed by `push_tail`
-    /// reproduces the batch series bit for bit). The persistent engine's
-    /// chain state and stream count are untouched: the tail is terminal,
-    /// and a later [`Corrector::push_chunk`] continues chained from the
-    /// last *full* chunk — the tail therefore derives its seed from a
-    /// disjoint domain (`seed ^ TAIL_SEED_TAG`) so it never shares an RNG
-    /// stream with that next chunk.
+    /// cannot accept. Runs a tail-sized [`ChunkEngine`] cold, chained off
+    /// the last full chunk's posterior (the batch
+    /// [`Corrector::correct_slices`] chained path calls this too, so a
+    /// streamed run followed by `push_tail` reproduces the batch series
+    /// bit for bit). The persistent engine's chain state and stream count
+    /// are untouched: the tail is terminal, and a later
+    /// [`Corrector::push_chunk`] continues chained from the last *full*
+    /// chunk — the tail therefore derives its seed from a disjoint domain
+    /// (`seed ^ TAIL_SEED_TAG`) so it never shares an RNG stream with that
+    /// next chunk.
     pub fn push_tail(
         &mut self,
         windows: &[&[Sample]],
@@ -394,22 +398,24 @@ impl<'a> Corrector<'a> {
             });
         }
         let chained = self.config.chain_chunks && (self.stream_count > 0 || self.resume_pending);
-        let prior = chained.then(|| self.engine.chain_prior().to_vec());
-        let model = build_chunk_model(
+        let mut tail = ChunkEngine::with_slices(
             self.catalog,
-            windows,
             &self.config.model,
-            prior.as_deref(),
             self.config.ep,
+            windows.len(),
         );
-        let (post, stats) = model.run_parallel_with_stats(
+        if chained {
+            tail.set_chain_prior(self.engine.chain_prior());
+        }
+        tail.load_cold(windows);
+        let stats = tail.run_farm(
             derive_stream_seed(
                 self.config.seed ^ Self::TAIL_SEED_TAG,
                 self.stream_count as usize,
             ),
             self.config.threads,
         );
-        Ok((post, stats))
+        Ok((tail.to_posterior(stats.converged), stats))
     }
 
     /// Seed-domain separator for ragged tails: `push_tail` does not
@@ -474,11 +480,7 @@ impl<'a> Corrector<'a> {
         let mut stats = CorrectionStats::default();
 
         if self.config.chain_chunks {
-            if self.config.warm_start {
-                self.run_chained_warm(windows, &mut data, &mut stats);
-            } else {
-                self.run_chained_cold(windows, &mut data, &mut stats);
-            }
+            self.run_chained(windows, &mut data, &mut stats);
         } else {
             self.run_independent(windows, &mut data, &mut stats);
         }
@@ -518,16 +520,19 @@ impl<'a> Corrector<'a> {
         }
     }
 
-    /// The incremental chained loop: one persistent engine; chunk 0 cold,
-    /// every later full chunk warm-started with observations swapped in
-    /// place. A ragged tail chunk (fewer windows than `slices`) falls back
-    /// to a one-shot cold model chained off the engine's captured prior.
-    /// Steady state (chunk 2+) is allocation-free at `threads = 1`.
+    /// The chained loop: one persistent engine fed through
+    /// [`Corrector::push_chunk`]. Chunk 0 runs cold; every later full
+    /// chunk warm-starts (or, with `warm_start` off, cold-loads chained
+    /// off the previous chunk's final slice). A ragged tail chunk (fewer
+    /// windows than `slices`) goes through [`Corrector::push_tail`] — the
+    /// same path the streaming flush runs, so batch and streamed series
+    /// stay bit-identical. Steady state (chunk 2+) is allocation-free at
+    /// `threads = 1`.
     ///
     /// Every chunk runs on the deterministic engine farm with its own
     /// derived seed, so thread count is purely a throughput knob —
     /// `threads = 1` and `threads = 8` produce bit-identical series.
-    fn run_chained_warm(
+    fn run_chained(
         &mut self,
         windows: &[&[Sample]],
         data: &mut Vec<Gaussian>,
@@ -538,14 +543,10 @@ impl<'a> Corrector<'a> {
         for (c, chunk) in windows.chunks(k).enumerate() {
             if chunk.len() == k {
                 let s = self.push_chunk(chunk);
-                let warm = c > 0;
                 stats.jump_site_resets += self.jump_resets;
                 Self::push_engine_posteriors(self.catalog, &self.engine, k, data);
-                stats.absorb_run(&s, warm);
+                stats.absorb_run(&s, self.config.warm_start && c > 0);
             } else {
-                // Ragged tail: topology differs (fewer slices) — the same
-                // one-shot chained model the streaming flush path runs,
-                // so batch and streamed series stay bit-identical.
                 let (post, s) = self
                     .push_tail(chunk)
                     .expect("chunks() yields a non-empty tail shorter than k");
@@ -555,41 +556,14 @@ impl<'a> Corrector<'a> {
         }
     }
 
-    /// The pre-incremental chained loop (the `cold_start` baseline): every
-    /// chunk rebuilds its model and runs cold EP with the full budget.
-    fn run_chained_cold(
-        &mut self,
-        windows: &[&[Sample]],
-        data: &mut Vec<Gaussian>,
-        stats: &mut CorrectionStats,
-    ) {
-        let k = self.config.model.slices.max(1);
-        let mut prior: Option<Vec<Gaussian>> = None;
-        for (c, chunk) in windows.chunks(k).enumerate() {
-            let model = build_chunk_model(
-                self.catalog,
-                chunk,
-                &self.config.model,
-                prior.as_deref(),
-                self.config.ep,
-            );
-            let (post, s) = model.run_parallel_with_stats(
-                derive_stream_seed(self.config.seed, c),
-                self.config.threads,
-            );
-            prior = Some(post.last_slice_normalized());
-            Self::push_chunk_posteriors(self.catalog, &post, data);
-            stats.absorb_run(&s, false);
-        }
-    }
-
     /// Concurrent chunk execution (requires `chain_chunks == false`):
     /// chunks are data-independent, so workers process disjoint contiguous
     /// ranges and results are reassembled in chunk order. Each worker
     /// builds one engine and cold-resets it per chunk (structural reuse:
-    /// schedule and buffers survive, statistical state does not), so
-    /// per-chunk seeds make the output identical to the sequential
-    /// un-chained run at any thread count.
+    /// schedule and buffers survive, statistical state does not),
+    /// rebuilding it only for a ragged tail's slice count, so per-chunk
+    /// seeds make the output identical to the sequential un-chained run at
+    /// any thread count.
     fn run_independent(
         &mut self,
         windows: &[&[Sample]],
@@ -618,21 +592,20 @@ impl<'a> Corrector<'a> {
                     for (i, (chunk, slot)) in
                         chunk_range.iter().zip(out_range.iter_mut()).enumerate()
                     {
-                        let seed = derive_stream_seed(config.seed, base + i);
-                        if chunk.len() == k {
-                            let eng = engine.get_or_insert_with(|| {
-                                ChunkEngine::new(catalog, &config.model, config.ep)
-                            });
-                            eng.clear_chain_prior();
-                            eng.load_cold(chunk);
-                            let s = eng.run_farm(seed, inner_threads);
-                            *slot = Some((eng.to_posterior(s.converged), s));
-                        } else {
-                            let model =
-                                build_chunk_model(catalog, chunk, &config.model, None, config.ep);
-                            let (post, s) = model.run_parallel_with_stats(seed, inner_threads);
-                            *slot = Some((post, s));
+                        if !matches!(&engine, Some(e) if e.slices() == chunk.len()) {
+                            engine = Some(ChunkEngine::with_slices(
+                                catalog,
+                                &config.model,
+                                config.ep,
+                                chunk.len(),
+                            ));
                         }
+                        let eng = engine.as_mut().expect("engine sized just above");
+                        let seed = derive_stream_seed(config.seed, base + i);
+                        eng.clear_chain_prior();
+                        eng.load_cold(chunk);
+                        let s = eng.run_farm(seed, inner_threads);
+                        *slot = Some((eng.to_posterior(s.converged), s));
                     }
                 });
             }
@@ -768,7 +741,9 @@ mod tests {
             cat.require(Semantic::LlcMisses),
         ];
         let schedule = pack_round_robin(&cat, &events).unwrap();
-        let run = pmu.run_multiplexed(&mut truth, &schedule, 12);
+        // 14 windows = two full chunks of 6 plus a ragged 2-window tail, so
+        // each worker's engine is rebuilt for the tail's slice count.
+        let run = pmu.run_multiplexed(&mut truth, &schedule, 14);
 
         let series_for = |threads: usize| {
             let cfg = CorrectorConfig::for_run(&run)
@@ -778,6 +753,7 @@ mod tests {
         };
         let a = series_for(1);
         let b = series_for(4);
+        assert_eq!(a.windows(), 14);
         assert_eq!(a.windows(), b.windows());
         let ev = cat.require(Semantic::L1dMisses);
         assert_eq!(a.mle_series(ev), b.mle_series(ev), "bit-identical MLE");
@@ -809,6 +785,53 @@ mod tests {
         assert_eq!(a.mle_series(ev), b.mle_series(ev), "bit-identical MLE");
         assert_eq!(a.sd_series(ev), b.sd_series(ev), "bit-identical SD");
         assert_eq!(a.stats, b.stats, "identical work accounting");
+    }
+
+    #[test]
+    fn cold_chained_series_matches_a_fresh_engine_per_chunk() {
+        // Cold chained mode reuses the corrector's one engine through
+        // `load_cold`; that must be bit-identical to building a fresh
+        // engine for every chunk, chained through `capture_chain_prior`.
+        let cat = Catalog::new(Arch::X86SkyLake);
+        let prog = kmeans();
+        let mut truth = prog.instantiate(&cat, 0);
+        let pmu = Pmu::new(&cat, PmuConfig::for_catalog(&cat));
+        let events = vec![
+            cat.require(Semantic::L1dMisses),
+            cat.require(Semantic::LlcMisses),
+        ];
+        let schedule = pack_round_robin(&cat, &events).unwrap();
+        let run = pmu.run_multiplexed(&mut truth, &schedule, 18);
+        let cfg = CorrectorConfig::for_run(&run).cold_start();
+        let k = cfg.model.slices;
+        let series = Corrector::new(&cat, cfg.clone()).correct_run(&run);
+        assert_eq!(series.windows(), 18);
+        assert_eq!(series.stats.warm_chunks, 0);
+
+        let mut prior: Option<Vec<Gaussian>> = None;
+        for (c, chunk) in run.windows.chunks(k).enumerate() {
+            let windows: Vec<&[Sample]> = chunk.iter().map(|w| w.samples.as_slice()).collect();
+            let mut engine = ChunkEngine::new(&cat, &cfg.model, cfg.ep);
+            if let Some(p) = &prior {
+                engine.set_chain_prior(p);
+            }
+            engine.load_cold(&windows);
+            engine.run_farm(derive_stream_seed(cfg.seed, c), cfg.threads);
+            engine.capture_chain_prior();
+            prior = Some(engine.chain_prior().to_vec());
+            for t in 0..k {
+                for d in cat.iter() {
+                    let want = engine.posterior(t, d.id);
+                    let got = series.posterior(c * k + t, d.id);
+                    assert_eq!(
+                        (want.mean.to_bits(), want.var.to_bits()),
+                        (got.mean.to_bits(), got.var.to_bits()),
+                        "chunk {c} slice {t} event {}",
+                        d.id.index()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,8 +26,10 @@
 //! **once**, and per window merely swaps the observation slots and either
 //! [`ChunkEngine::load_warm`]s (keep EP messages — the incremental
 //! corrector path) or [`ChunkEngine::load_cold`]s (reset messages — the
-//! independent-chunks path). [`build_chunk_model`] wraps a single-shot
-//! cold engine for the legacy build-per-chunk API.
+//! cold and independent-chunks paths), then runs EP on the engine farm
+//! ([`ChunkEngine::run_farm`]). Only a ragged tail chunk, shorter than
+//! `slices`, needs an engine of its own
+//! ([`ChunkEngine::with_slices`]).
 
 use crate::error_model::{extrapolated_observation, gauge_observation, observation};
 use bayesperf_events::{Catalog, EventEnv, EventId, Expr, SourceNoise};
@@ -327,8 +329,8 @@ impl ChunkEngine {
         Self::with_slices(catalog, cfg, ep_config, cfg.slices.max(1))
     }
 
-    /// Builds the engine for an explicit slice count (used by
-    /// [`build_chunk_model`] for ragged tail chunks).
+    /// Builds the engine for an explicit slice count (the corrector's
+    /// ragged tail chunks).
     ///
     /// # Panics
     ///
@@ -728,51 +730,6 @@ impl ChunkEngine {
     }
 }
 
-/// A built chunk model, ready to run — the legacy single-shot wrapper over
-/// a cold [`ChunkEngine`].
-pub struct ChunkModel {
-    engine: ChunkEngine,
-}
-
-impl std::fmt::Debug for ChunkModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChunkModel")
-            .field("n_events", &self.engine.n_events)
-            .field("slices", &self.engine.slices)
-            .finish()
-    }
-}
-
-impl ChunkModel {
-    /// Runs EP sequentially with a caller-supplied RNG and returns the
-    /// posterior chunk.
-    pub fn run<R: rand::Rng + ?Sized>(mut self, rng: &mut R) -> ChunkPosterior {
-        let result = self.engine.ep.run(rng);
-        self.engine.to_posterior(result.converged)
-    }
-
-    /// Runs EP on the parallel engine farm (bit-identical for any
-    /// `threads ≥ 1` given the same `seed`).
-    pub fn run_parallel(self, seed: u64, threads: usize) -> ChunkPosterior {
-        self.run_parallel_with_stats(seed, threads).0
-    }
-
-    /// [`ChunkModel::run_parallel`] plus the run's work counters.
-    pub fn run_parallel_with_stats(
-        mut self,
-        seed: u64,
-        threads: usize,
-    ) -> (ChunkPosterior, EpRunStats) {
-        let stats = self.engine.run_farm(seed, threads);
-        (self.engine.to_posterior(stats.converged), stats)
-    }
-
-    /// Number of time slices modelled.
-    pub fn slices(&self) -> usize {
-        self.engine.slices()
-    }
-}
-
 /// Posterior marginals of one chunk.
 #[derive(Debug, Clone)]
 pub struct ChunkPosterior {
@@ -801,42 +758,6 @@ impl ChunkPosterior {
         let s = self.scales[event.index()];
         Gaussian::new(g.mean * s, g.var * s * s)
     }
-
-    /// Normalized (internal-unit) marginals of the final slice — used to
-    /// chain chunks.
-    pub fn last_slice_normalized(&self) -> Vec<Gaussian> {
-        let base = (self.slices - 1) * self.n_events;
-        self.marginals[base..base + self.n_events].to_vec()
-    }
-}
-
-/// Builds the EP problem for `windows` (a chunk of consecutive multiplexing
-/// windows, each a set of delivered samples).
-///
-/// `prior0`, when given, is the normalized per-event posterior of the
-/// previous chunk's final slice; it becomes the (widened) prior of slice 0,
-/// chaining inference across chunks.
-///
-/// # Panics
-///
-/// Panics if `windows` is empty.
-pub fn build_chunk_model<W: AsRef<[Sample]>>(
-    catalog: &Catalog,
-    windows: &[W],
-    cfg: &ModelConfig,
-    prior0: Option<&[Gaussian]>,
-    ep_config: EpConfig,
-) -> ChunkModel {
-    assert!(
-        !windows.is_empty(),
-        "chunk must contain at least one window"
-    );
-    let mut engine = ChunkEngine::with_slices(catalog, cfg, ep_config, windows.len());
-    if let Some(p) = prior0 {
-        engine.set_chain_prior(p);
-    }
-    engine.load_cold(windows);
-    ChunkModel { engine }
 }
 
 #[cfg(test)]
@@ -844,8 +765,6 @@ mod tests {
     use super::*;
     use bayesperf_events::{Arch, Semantic};
     use bayesperf_simcpu::{pack_round_robin, ConstantTruth, NoiseModel, Pmu, PmuConfig};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn run_fixture() -> (Catalog, MultiplexRun) {
         let cat = Catalog::new(Arch::X86SkyLake);
@@ -876,13 +795,21 @@ mod tests {
         (cat, run)
     }
 
+    /// A fresh engine sized to `windows`, cold-loaded with them.
+    fn cold_engine(cat: &Catalog, windows: &[Vec<Sample>], cfg: &ModelConfig) -> ChunkEngine {
+        let mut engine = ChunkEngine::with_slices(cat, cfg, cfg.fast_ep(), windows.len());
+        engine.load_cold(windows);
+        engine
+    }
+
     #[test]
     fn model_builds_with_expected_shape() {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let model = build_chunk_model(&cat, &windows, &cfg, None, cfg.fast_ep());
-        assert_eq!(model.slices(), 4);
+        let engine = cold_engine(&cat, &windows, &cfg);
+        assert_eq!(engine.slices(), 4);
+        assert_eq!(engine.n_events(), cat.len());
     }
 
     #[test]
@@ -890,9 +817,8 @@ mod tests {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let model = build_chunk_model(&cat, &windows, &cfg, None, cfg.fast_ep());
-        let mut rng = StdRng::seed_from_u64(5);
-        let post = model.run(&mut rng);
+        let mut post = cold_engine(&cat, &windows, &cfg);
+        post.run_farm(5, 1);
 
         let ev = cat.require(Semantic::L1dMisses);
         // L1dMisses is observed in window 0 (first config).
@@ -912,9 +838,8 @@ mod tests {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let model = build_chunk_model(&cat, &windows, &cfg, None, cfg.fast_ep());
-        let mut rng = StdRng::seed_from_u64(6);
-        let post = model.run(&mut rng);
+        let mut post = cold_engine(&cat, &windows, &cfg);
+        post.run_farm(6, 1);
 
         // LlcReferences is never scheduled, but llc_split (refs = hits +
         // misses) ties it to two observed events.
@@ -935,9 +860,8 @@ mod tests {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let model = build_chunk_model(&cat, &windows, &cfg, None, cfg.fast_ep());
-        let mut rng = StdRng::seed_from_u64(7);
-        let post = model.run(&mut rng);
+        let mut post = cold_engine(&cat, &windows, &cfg);
+        post.run_farm(7, 1);
 
         let observed = cat.require(Semantic::Cycles); // fixed, every window
         let unobserved = cat.require(Semantic::DtlbMisses); // no invariant to observed set
@@ -997,9 +921,9 @@ mod tests {
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
         let posterior = |wins: &[Vec<Sample>]| {
-            let model = build_chunk_model(&cat, wins, &cfg, None, cfg.fast_ep());
-            let mut rng = StdRng::seed_from_u64(21);
-            model.run(&mut rng)
+            let mut engine = cold_engine(&cat, wins, &cfg);
+            engine.run_farm(21, 1);
+            engine
         };
         let honest = posterior(&windows);
 
@@ -1033,16 +957,13 @@ mod tests {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let mut rng = StdRng::seed_from_u64(8);
-        let first = build_chunk_model(&cat, &windows[..2], &cfg, None, cfg.fast_ep()).run(&mut rng);
-        let chained = build_chunk_model(
-            &cat,
-            &windows[2..],
-            &cfg,
-            Some(&first.last_slice_normalized()),
-            cfg.fast_ep(),
-        );
-        let post = chained.run(&mut rng);
+        // One two-slice engine run cold twice, the second load chained off
+        // the first chunk's final slice — the corrector's cold path.
+        let mut post = cold_engine(&cat, &windows[..2], &cfg);
+        post.run_farm(8, 1);
+        post.capture_chain_prior();
+        post.load_cold(&windows[2..]);
+        post.run_farm(9, 1);
         // An event only measured in chunk 1's windows still has a
         // non-prior posterior in chunk 2 thanks to chaining + temporal.
         let ev = cat.require(Semantic::L1dMisses);
@@ -1141,6 +1062,6 @@ mod tests {
             inv_sigma_floor: 0.02,
             cycles_per_window: 1e7,
         };
-        build_chunk_model::<Vec<Sample>>(&cat, &[], &cfg, None, cfg.fast_ep());
+        ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), 0);
     }
 }

@@ -16,7 +16,7 @@
 //!
 //! Sites only interact through the global approximation — the parallelism
 //! the BayesPerf accelerator's EP engines exploit (§5). The software farm
-//! ([`ExpectationPropagation::run_parallel`]) realizes it in three steps:
+//! ([`ExpectationPropagation::run_farm`]) realizes it in three steps:
 //!
 //! 1. **Conflict-free batching.** Sites are partitioned by greedy coloring
 //!    of the site-conflict graph (two sites conflict when their variable
@@ -38,12 +38,12 @@
 //! Because the schedule is a pure function of the site list, each site's
 //! randomness is a pure function of `(seed, site, sweep)`, batch members
 //! read disjoint state, and merges happen in a fixed order,
-//! `run_parallel(seed, threads)` returns **bit-identical** [`EpResult`]s
-//! for any `threads ≥ 1`. Thread count is purely a throughput knob — the
-//! `parallel_determinism` integration test pins this down. The guarantee
-//! extends to warm-started runs: the adaptive MCMC budget is derived from
-//! per-site cavity history that is itself updated in deterministic merge
-//! order.
+//! `run_farm(seed, threads)` leaves **bit-identical** marginals and
+//! returns bit-identical [`EpRunStats`] for any `threads ≥ 1`. Thread
+//! count is purely a throughput knob — the `parallel_determinism`
+//! integration test pins this down. The guarantee extends to warm-started
+//! runs: the adaptive MCMC budget is derived from per-site cavity history
+//! that is itself updated in deterministic merge order.
 //!
 //! # Warm-start lifecycle
 //!
@@ -55,10 +55,10 @@
 //! ```text
 //!   build once            per window                     per window
 //!   ──────────            ───────────                    ───────────
-//!   new() + add_site()    site_mut() — swap observations  run_parallel()
+//!   new() + add_site()    site_mut() — swap observations  run_farm()
 //!        │                warm_start(prior) — keep            │
 //!        ▼                site messages, re-seat prior        ▼
-//!   first run_parallel()  (or cold_reset() to discard)    marginals
+//!   first run_farm()      (or cold_reset() to discard)    marginal()
 //! ```
 //!
 //! * [`ExpectationPropagation::warm_start`] re-seats the per-variable prior
@@ -92,11 +92,6 @@
 //! per-worker [`SiteWorkspace`] buffers (cavity state, MCMC scratch,
 //! analytic scratch) and per-site [`SiteUpdate`] records are cached inside
 //! the engine and reused across sweeps *and* across windows.
-//!
-//! The legacy [`ExpectationPropagation::run`] keeps the original
-//! caller-supplied-RNG sequential path (site updates in registration
-//! order, one shared stream); its results depend on the RNG stream, not on
-//! any scheduling choice.
 
 use crate::analytic::AnalyticScratch;
 use crate::dist::Gaussian;
@@ -104,7 +99,6 @@ use crate::mcmc::{McmcConfig, McmcSampler, Target};
 use crate::message::GaussianMessage;
 use crate::parallel::{SiteUpdate, SiteWorkspace, SweepSchedule};
 use crate::rng::SiteRng;
-use rand::Rng;
 
 /// How a site's tilted moments are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -330,9 +324,9 @@ impl Default for EpConfig {
     }
 }
 
-/// Per-run scalar statistics — the allocation-free subset of [`EpResult`]
-/// that [`ExpectationPropagation::run_farm`] returns on the steady-state
-/// corrector path.
+/// Per-run scalar statistics returned by
+/// [`ExpectationPropagation::run_farm`]; read the posterior back through
+/// [`ExpectationPropagation::marginal`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EpRunStats {
     /// Cumulative sweeps executed since engine creation / last
@@ -357,49 +351,6 @@ pub struct EpRunStats {
     /// divergence counter — nonzero means an observation or chain
     /// diverged and was contained, not propagated).
     pub sites_quarantined: u64,
-}
-
-/// Result of running EP.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpResult {
-    /// Posterior marginal per global variable.
-    pub marginals: Vec<Gaussian>,
-    /// Cumulative sweeps executed since engine creation (equals
-    /// `sweeps_run` for a fresh or cold-reset engine; grows across warm
-    /// windows).
-    pub sweeps_total: usize,
-    /// Sweeps executed by this run.
-    pub sweeps_run: usize,
-    /// Whether the tolerance was met before the sweep cap.
-    pub converged: bool,
-    /// Proposal-weighted mean MCMC acceptance rate over MCMC-path site
-    /// updates only — analytic sites are excluded, so the value is NaN-free
-    /// even when no sampling happened (`0.0` then).
-    pub mean_acceptance: f64,
-    /// Site updates that estimated moments by MCMC.
-    pub mcmc_site_updates: u64,
-    /// Site updates that computed moments analytically.
-    pub analytic_site_updates: u64,
-    /// Total MCMC samples collected across this run's site updates.
-    pub mcmc_samples: u64,
-    /// Site updates quarantined back to the prior on non-finite moments.
-    pub sites_quarantined: u64,
-}
-
-impl EpResult {
-    fn from_stats(marginals: Vec<Gaussian>, s: EpRunStats) -> Self {
-        EpResult {
-            marginals,
-            sweeps_total: s.sweeps_total,
-            sweeps_run: s.sweeps_run,
-            converged: s.converged,
-            mean_acceptance: s.mean_acceptance,
-            mcmc_site_updates: s.mcmc_site_updates,
-            analytic_site_updates: s.analytic_site_updates,
-            mcmc_samples: s.mcmc_samples,
-            sites_quarantined: s.sites_quarantined,
-        }
-    }
 }
 
 /// Cached farm state: the conflict-free sweep schedule plus the per-batch
@@ -672,76 +623,16 @@ impl ExpectationPropagation {
         }
     }
 
-    /// Runs EP sequentially with a caller-supplied RNG (the legacy path):
-    /// sites update in registration order, Gauss-Seidel style, all drawing
-    /// from `rng`'s single stream.
-    ///
-    /// Results depend on `rng`'s stream; for scheduling-independent,
-    /// thread-scalable inference use
-    /// [`ExpectationPropagation::run_parallel`].
-    pub fn run<R: Rng + ?Sized>(&mut self, rng: &mut R) -> EpResult {
-        let sampler = McmcSampler::new(self.config.mcmc);
-        let mut ws = SiteWorkspace::new();
-        let mut out = SiteUpdate::default();
-        let mut sweeps = 0;
-        let mut converged = false;
-        let mut accum = RunAccum::default();
-        let mut hot = false;
-
-        while self.keep_sweeping(sweeps, hot) {
-            sweeps += 1;
-            let mut max_shift = 0.0f64;
-            let mut votes = SweepVotes::default();
-            for k in 0..self.sites.len() {
-                out.prepare(self.sites[k].as_ref());
-                compute_site_update(
-                    self.sites[k].as_ref(),
-                    &self.site_approx[k],
-                    &self.site_prev_cavity[k],
-                    &self.global,
-                    &self.prior,
-                    &self.config,
-                    self.warm,
-                    hot,
-                    &sampler,
-                    rng,
-                    &mut ws,
-                    &mut out,
-                );
-                let shift = self.apply_site_update(k, &out);
-                max_shift = max_shift.max(shift);
-                accum.absorb(&out);
-                votes.absorb(&out);
-            }
-            hot = votes.hot(self.config.warm_escalation);
-            if max_shift <= self.config.tol {
-                converged = true;
-                break;
-            }
-        }
-        self.total_sweeps += sweeps;
-
-        let stats = self.stats(sweeps, converged, &accum);
-        EpResult::from_stats(self.collect_marginals(), stats)
-    }
-
     /// Runs EP on the engine farm: conflict-free batches of site updates
     /// computed concurrently on up to `threads` workers, merged
-    /// deterministically.
+    /// deterministically. Allocation-free once the engine caches are
+    /// grown; read marginals back through
+    /// [`ExpectationPropagation::marginal`].
     ///
     /// The result is **bit-identical for any `threads ≥ 1`** given the same
     /// `seed` — see the module docs for why. `threads` is clamped to at
     /// least 1 and at most the largest batch size (more workers than sites
     /// in a batch cannot help).
-    pub fn run_parallel(&mut self, seed: u64, threads: usize) -> EpResult {
-        let stats = self.run_farm(seed, threads);
-        EpResult::from_stats(self.collect_marginals(), stats)
-    }
-
-    /// [`ExpectationPropagation::run_parallel`] without materializing the
-    /// marginal vector — the steady-state warm-start path, allocation-free
-    /// once the engine caches are grown. Read marginals back through
-    /// [`ExpectationPropagation::marginal`].
     pub fn run_farm(&mut self, seed: u64, threads: usize) -> EpRunStats {
         self.ensure_cache();
         let mut cache = self.cache.take().expect("cache just ensured");
@@ -943,10 +834,6 @@ impl ExpectationPropagation {
         max_shift
     }
 
-    fn collect_marginals(&self) -> Vec<Gaussian> {
-        (0..self.prior.len()).map(|v| self.marginal(v)).collect()
-    }
-
     fn stats(&self, sweeps: usize, converged: bool, accum: &RunAccum) -> EpRunStats {
         EpRunStats {
             sweeps_total: self.total_sweeps,
@@ -1005,7 +892,7 @@ fn farm_worker(
 /// touching shared state — the pure-compute half the engine farm runs in
 /// parallel. `out` must already be [`SiteUpdate::prepare`]d for `site`.
 #[allow(clippy::too_many_arguments)]
-fn compute_site_update<R: Rng + ?Sized>(
+fn compute_site_update(
     site: &dyn EpSite,
     approx_k: &[GaussianMessage],
     prev_cavity_k: &[GaussianMessage],
@@ -1015,7 +902,7 @@ fn compute_site_update<R: Rng + ?Sized>(
     warm: bool,
     hot_prev: bool,
     sampler: &McmcSampler,
-    rng: &mut R,
+    rng: &mut SiteRng,
     ws: &mut SiteWorkspace,
     out: &mut SiteUpdate,
 ) {
@@ -1198,12 +1085,9 @@ impl Target for TiltedTarget<'_> {
 mod tests {
     use super::*;
     use crate::factor::FactorSite;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(12345)
-    }
+    /// Seed of the single-worker farm runs below.
+    const SEED: u64 = 12345;
 
     #[test]
     fn gaussian_observation_matches_analytic_posterior() {
@@ -1213,17 +1097,10 @@ mod tests {
         ep.add_site(FnSite::new(vec![0], |x: &[f64]| {
             Gaussian::new(6.0, 1.0).log_pdf(x[0])
         }));
-        let r = ep.run(&mut rng());
-        assert!(
-            (r.marginals[0].mean - 4.8).abs() < 0.25,
-            "mean {}",
-            r.marginals[0].mean
-        );
-        assert!(
-            (r.marginals[0].var - 0.8).abs() < 0.4,
-            "var {}",
-            r.marginals[0].var
-        );
+        ep.run_farm(SEED, 1);
+        let m = ep.marginal(0);
+        assert!((m.mean - 4.8).abs() < 0.25, "mean {}", m.mean);
+        assert!((m.var - 0.8).abs() < 0.4, "var {}", m.var);
     }
 
     #[test]
@@ -1246,9 +1123,11 @@ mod tests {
                 .gaussian_linear(&[0, 1], &[1.0, 1.0], 8.0, 0.5)
                 .build(),
         );
-        let r = ep.run_parallel(99, 2);
+        // Two workers: the spawned-thread farm branch.
+        let r = ep.run_farm(99, 2);
         assert!(r.sites_quarantined > 0, "divergence counter must record");
-        for (v, g) in r.marginals.iter().enumerate() {
+        for v in 0..ep.num_vars() {
+            let g = ep.marginal(v);
             assert!(
                 g.mean.is_finite() && g.var.is_finite() && g.var > 0.0,
                 "marginal {v} poisoned: {g:?}"
@@ -1256,11 +1135,12 @@ mod tests {
         }
         // The healthy site's information still flowed: x0 + x1 ~ N(8, .5)
         // on N(2,4) priors pulls both means toward 4.
-        assert!((r.marginals[1].mean - 4.0).abs() < 1.0);
+        assert!((ep.marginal(1).mean - 4.0).abs() < 1.0);
     }
 
     #[test]
     fn quarantined_site_recovers_on_sequential_path_too() {
+        // One worker: the farm's inline (no-spawn) branch.
         let mut ep =
             ExpectationPropagation::new(vec![Gaussian::new(0.0, 4.0)], EpConfig::default());
         let mut poisoned = FactorSite::builder(vec![0])
@@ -1268,11 +1148,12 @@ mod tests {
             .build();
         poisoned.set_linear_obs(0, f64::INFINITY);
         ep.add_site(poisoned);
-        let r = ep.run(&mut rng());
+        let r = ep.run_farm(SEED, 1);
         assert!(r.sites_quarantined > 0);
         // With its only site quarantined, the posterior is the prior.
-        assert!((r.marginals[0].mean - 0.0).abs() < 1e-9);
-        assert!((r.marginals[0].var - 4.0).abs() < 1e-9);
+        let m = ep.marginal(0);
+        assert!((m.mean - 0.0).abs() < 1e-9);
+        assert!((m.var - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1287,14 +1168,11 @@ mod tests {
         ep.add_site(FnSite::new(vec![0], |x: &[f64]| {
             Gaussian::new(10.0, 1.0).log_pdf(x[0])
         }));
-        let r = ep.run(&mut rng());
-        assert!(
-            (r.marginals[0].mean - 5.0).abs() < 0.4,
-            "mean {}",
-            r.marginals[0].mean
-        );
+        ep.run_farm(SEED, 1);
+        let m = ep.marginal(0);
+        assert!((m.mean - 5.0).abs() < 0.4, "mean {}", m.mean);
         // Posterior variance ≈ 0.5 (product of two unit-variance terms).
-        assert!(r.marginals[0].var < 1.5);
+        assert!(m.var < 1.5);
     }
 
     #[test]
@@ -1311,17 +1189,10 @@ mod tests {
         ep.add_site(FnSite::new(vec![0, 1], |x: &[f64]| {
             Gaussian::new(0.0, 0.01).log_pdf(x[0] + x[1] - 10.0)
         }));
-        let r = ep.run(&mut rng());
-        assert!(
-            (r.marginals[0].mean - 3.0).abs() < 0.3,
-            "x0 {}",
-            r.marginals[0].mean
-        );
-        assert!(
-            (r.marginals[1].mean - 7.0).abs() < 0.5,
-            "x1 {}",
-            r.marginals[1].mean
-        );
+        ep.run_farm(SEED, 1);
+        let (x0, x1) = (ep.marginal(0).mean, ep.marginal(1).mean);
+        assert!((x0 - 3.0).abs() < 0.3, "x0 {x0}");
+        assert!((x1 - 7.0).abs() < 0.5, "x1 {x1}");
     }
 
     #[test]
@@ -1337,17 +1208,10 @@ mod tests {
         ep.add_site(FnSite::new(vec![0, 1], |x: &[f64]| {
             Gaussian::new(0.0, 0.01).log_pdf(x[0] + x[1] - 10.0)
         }));
-        let r = ep.run_parallel(2024, 2);
-        assert!(
-            (r.marginals[0].mean - 3.0).abs() < 0.3,
-            "x0 {}",
-            r.marginals[0].mean
-        );
-        assert!(
-            (r.marginals[1].mean - 7.0).abs() < 0.5,
-            "x1 {}",
-            r.marginals[1].mean
-        );
+        let r = ep.run_farm(2024, 2);
+        let (x0, x1) = (ep.marginal(0).mean, ep.marginal(1).mean);
+        assert!((x0 - 3.0).abs() < 0.3, "x0 {x0}");
+        assert!((x1 - 7.0).abs() < 0.5, "x1 {x1}");
         assert!(r.mean_acceptance > 0.05 && r.mean_acceptance < 0.95);
         assert_eq!(r.analytic_site_updates, 0);
         assert!(r.mcmc_site_updates > 0);
@@ -1376,12 +1240,9 @@ mod tests {
         ep.add_site(FnSite::new(vec![1, 2], |x: &[f64]| {
             Gaussian::new(0.0, 0.02).log_pdf(x[0] + x[1] - 12.0)
         }));
-        let r = ep.run(&mut rng());
-        assert!(
-            (r.marginals[2].mean - 6.0).abs() < 0.7,
-            "x2 {}",
-            r.marginals[2].mean
-        );
+        ep.run_farm(SEED, 1);
+        let x2 = ep.marginal(2).mean;
+        assert!((x2 - 6.0).abs() < 0.7, "x2 {x2}");
     }
 
     #[test]
@@ -1393,9 +1254,9 @@ mod tests {
         ep.add_site(FnSite::new(vec![0], |x: &[f64]| {
             Gaussian::new(1.0, 1.0).log_pdf(x[0])
         }));
-        let r = ep.run(&mut rng());
-        assert_eq!(r.marginals[1].mean, 9.0);
-        assert_eq!(r.marginals[1].var, 3.0);
+        ep.run_farm(SEED, 1);
+        assert_eq!(ep.marginal(1).mean, 9.0);
+        assert_eq!(ep.marginal(1).var, 3.0);
     }
 
     #[test]
@@ -1417,7 +1278,7 @@ mod tests {
         ep.add_site(FnSite::new(vec![0], |x: &[f64]| {
             Gaussian::new(2.0, 0.5).log_pdf(x[0])
         }));
-        let r = ep.run(&mut rng());
+        let r = ep.run_farm(SEED, 1);
         assert!(r.converged, "should converge in 30 sweeps");
         assert!(r.sweeps_run < 30);
         assert_eq!(
@@ -1450,22 +1311,15 @@ mod tests {
                 .gaussian_linear(&[0, 1], &[1.0, 1.0], 10.0, 0.01)
                 .build(),
         );
-        let r = ep.run_parallel(7, 2);
+        let r = ep.run_farm(7, 2);
         assert_eq!(r.mcmc_site_updates, 0, "no MCMC on the analytic path");
         assert_eq!(r.mcmc_samples, 0);
         assert!(r.analytic_site_updates > 0);
         assert_eq!(r.mean_acceptance, 0.0, "NaN-free when nothing sampled");
         // Exact posterior (the wide prior pulls ~4e-4 off the observations).
-        assert!(
-            (r.marginals[0].mean - 3.0).abs() < 0.01,
-            "x0 {}",
-            r.marginals[0].mean
-        );
-        assert!(
-            (r.marginals[1].mean - 7.0).abs() < 0.01,
-            "x1 {}",
-            r.marginals[1].mean
-        );
+        let (x0, x1) = (ep.marginal(0).mean, ep.marginal(1).mean);
+        assert!((x0 - 3.0).abs() < 0.01, "x0 {x0}");
+        assert!((x1 - 7.0).abs() < 0.01, "x1 {x1}");
     }
 
     #[test]
@@ -1482,7 +1336,7 @@ mod tests {
         ep.add_site(FnSite::new(vec![1], |x: &[f64]| {
             Gaussian::new(-1.0, 0.5).log_pdf(x[0])
         }));
-        let r = ep.run_parallel(3, 1);
+        let r = ep.run_farm(3, 1);
         assert!(r.analytic_site_updates > 0);
         assert!(r.mcmc_site_updates > 0);
         // Aggregated over the MCMC site only — still a real rate.
@@ -1505,13 +1359,13 @@ mod tests {
                 .gaussian_linear(&[0], &[1.0], 4.0, 1.0)
                 .build(),
         );
-        let cold = ep.run_parallel(11, 1);
+        let cold = ep.run_farm(11, 1);
         assert!(cold.converged);
         // Swap the observation slightly and warm-start.
         ep.site_mut::<FactorSite>(0).unwrap().set_linear_obs(0, 4.1);
         ep.warm_start(&prior);
         assert!(ep.is_warm());
-        let warm = ep.run_parallel(12, 1);
+        let warm = ep.run_farm(12, 1);
         assert!(warm.converged);
         assert!(
             warm.sweeps_run <= cold.sweeps_run,
@@ -1525,11 +1379,8 @@ mod tests {
         );
         // Exact posterior of N(0,25) with N(4.1,1): mean 4.1·(25/26).
         let expect = 4.1 * 25.0 / 26.0;
-        assert!(
-            (warm.marginals[0].mean - expect).abs() < 1e-4,
-            "mean {} vs {expect}",
-            warm.marginals[0].mean
-        );
+        let mean = ep.marginal(0).mean;
+        assert!((mean - expect).abs() < 1e-4, "mean {mean} vs {expect}");
     }
 
     #[test]
@@ -1545,15 +1396,16 @@ mod tests {
         };
         let mut fresh = ExpectationPropagation::new(prior.clone(), EpConfig::default());
         build(&mut fresh);
-        let want = fresh.run_parallel(42, 1);
+        let want = fresh.run_farm(42, 1);
 
         let mut reused = ExpectationPropagation::new(prior.clone(), EpConfig::default());
         build(&mut reused);
-        let _ = reused.run_parallel(7, 1); // dirty the state
+        let _ = reused.run_farm(7, 1); // dirty the state
         reused.cold_reset(&prior);
-        let got = reused.run_parallel(42, 1);
+        let got = reused.run_farm(42, 1);
         assert_eq!(want.sweeps_total, got.sweeps_total);
-        for (a, b) in want.marginals.iter().zip(&got.marginals) {
+        for v in 0..fresh.num_vars() {
+            let (a, b) = (fresh.marginal(v), reused.marginal(v));
             assert_eq!(a.mean.to_bits(), b.mean.to_bits());
             assert_eq!(a.var.to_bits(), b.var.to_bits());
         }

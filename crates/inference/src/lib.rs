@@ -30,10 +30,8 @@
 //! ep.add_site(FnSite::new(vec![0, 1], |x: &[f64]| {
 //!     Gaussian::new(0.0, 0.01).log_pdf(x[0] + x[1] - 10.0)
 //! }));
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! # use rand::SeedableRng;
-//! let result = ep.run(&mut rng);
-//! assert!((result.marginals[1].mean - 7.0).abs() < 0.5);
+//! ep.run_farm(7, 1);
+//! assert!((ep.marginal(1).mean - 7.0).abs() < 0.5);
 //! ```
 
 mod analytic;
@@ -49,8 +47,7 @@ mod special;
 pub use analytic::AnalyticScratch;
 pub use dist::{Gaussian, Gumbel, StudentT};
 pub use ep::{
-    AdaptiveBudget, EpConfig, EpResult, EpRunStats, EpSite, ExpectationPropagation, FnSite,
-    MomentStrategy,
+    AdaptiveBudget, EpConfig, EpRunStats, EpSite, ExpectationPropagation, FnSite, MomentStrategy,
 };
 pub use factor::{
     FactorSite, FactorSiteBuilder, LinearGaussianFactor, LocalFactor, PoissonFactor,

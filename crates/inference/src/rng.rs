@@ -8,7 +8,7 @@
 //! SplitMix64-style finalizers into a xoshiro256++ state. Site updates are
 //! then pure functions of `(global approximation, site data, seed, site id,
 //! sweep)` — bit-identical no matter how many workers run them or in what
-//! order, which is the determinism guarantee `run_parallel` advertises.
+//! order, which is the determinism guarantee `run_farm` advertises.
 //!
 //! This is the software analogue of the per-engine hardware RNGs in the
 //! accelerator's AcMC² sampler IPs (§5): each engine owns its stream; no

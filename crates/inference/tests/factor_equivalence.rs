@@ -4,7 +4,19 @@
 //! deterministic seed must produce bit-identical posteriors — the sparse
 //! delta path may skip factors, but never change values.
 
-use bayesperf_inference::{EpConfig, EpSite, ExpectationPropagation, FactorSite, FnSite, Gaussian};
+use bayesperf_inference::{
+    EpConfig, EpRunStats, EpSite, ExpectationPropagation, FactorSite, FnSite, Gaussian,
+};
+
+/// Runs the engine farm and collects every posterior marginal.
+fn run_farm(
+    mut ep: ExpectationPropagation,
+    seed: u64,
+    threads: usize,
+) -> (EpRunStats, Vec<Gaussian>) {
+    let stats = ep.run_farm(seed, threads);
+    (stats, (0..ep.num_vars()).map(|v| ep.marginal(v)).collect())
+}
 
 fn fn_site_model() -> ExpectationPropagation {
     let prior = vec![Gaussian::new(5.0, 100.0), Gaussian::new(5.0, 100.0)];
@@ -62,20 +74,16 @@ fn same_likelihood_same_delta() {
 
 #[test]
 fn ep_posteriors_are_bit_identical() {
-    let ra = fn_site_model().run_parallel(42, 1);
-    let rb = factor_site_model().run_parallel(42, 1);
+    let (ra, ma) = run_farm(fn_site_model(), 42, 1);
+    let (rb, mb) = run_farm(factor_site_model(), 42, 1);
     assert_eq!(ra.sweeps_run, rb.sweeps_run);
     assert_eq!(ra.converged, rb.converged);
-    for (ga, gb) in ra.marginals.iter().zip(&rb.marginals) {
+    for (ga, gb) in ma.iter().zip(&mb) {
         assert_eq!(ga.mean.to_bits(), gb.mean.to_bits());
         assert_eq!(ga.var.to_bits(), gb.var.to_bits());
     }
     // And the inference itself is right: x1 ≈ 10 − 3 = 7.
-    assert!(
-        (rb.marginals[1].mean - 7.0).abs() < 0.5,
-        "x1 {}",
-        rb.marginals[1].mean
-    );
+    assert!((mb[1].mean - 7.0).abs() < 0.5, "x1 {}", mb[1].mean);
 }
 
 #[test]
@@ -109,9 +117,9 @@ fn multi_factor_split_matches_monolithic_closure() {
         );
         ep
     };
-    let ra = monolithic().run_parallel(7, 1);
-    let rb = factored().run_parallel(7, 2);
-    for (v, (ga, gb)) in ra.marginals.iter().zip(&rb.marginals).enumerate() {
+    let (_, ma) = run_farm(monolithic(), 7, 1);
+    let (_, mb) = run_farm(factored(), 7, 2);
+    for (v, (ga, gb)) in ma.iter().zip(&mb).enumerate() {
         // Factored delta sums a subset of terms, so results agree exactly
         // only when per-factor arithmetic is order-identical; the split
         // changes the summation grouping, so allow float-roundoff scale

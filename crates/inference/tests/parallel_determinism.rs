@@ -1,11 +1,19 @@
-//! The engine farm's headline guarantee: `run_parallel(seed, threads)` is
+//! The engine farm's headline guarantee: `run_farm(seed, threads)` is
 //! bit-identical for any thread count. Posterior means, variances, sweep
 //! counts, convergence flags, and acceptance statistics must all match to
 //! the last bit between 1, 2, and 8 workers.
 
 use bayesperf_inference::{
-    EpConfig, EpResult, ExpectationPropagation, FactorSite, FnSite, Gaussian,
+    EpConfig, EpRunStats, ExpectationPropagation, FactorSite, FnSite, Gaussian,
 };
+
+/// One farm run's statistics plus every posterior marginal it left behind.
+type Run = (EpRunStats, Vec<Gaussian>);
+
+fn run_farm(ep: &mut ExpectationPropagation, seed: u64, threads: usize) -> Run {
+    let stats = ep.run_farm(seed, threads);
+    (stats, (0..ep.num_vars()).map(|v| ep.marginal(v)).collect())
+}
 
 /// A 64-site model shaped like the corrector's chunks: 32 variables in a
 /// chain, one observation site per variable, one coupling site per adjacent
@@ -28,11 +36,11 @@ fn chain_model() -> ExpectationPropagation {
     ep
 }
 
-fn run_with_threads(threads: usize) -> EpResult {
-    chain_model().run_parallel(0xB4FE5, threads)
+fn run_with_threads(threads: usize) -> Run {
+    run_farm(&mut chain_model(), 0xB4FE5, threads)
 }
 
-fn assert_bit_identical(a: &EpResult, b: &EpResult, what: &str) {
+fn assert_bit_identical((a, ma): &Run, (b, mb): &Run, what: &str) {
     assert_eq!(a.sweeps_run, b.sweeps_run, "{what}: sweep count");
     assert_eq!(a.sweeps_total, b.sweeps_total, "{what}: cumulative sweeps");
     assert_eq!(a.converged, b.converged, "{what}: convergence flag");
@@ -41,8 +49,8 @@ fn assert_bit_identical(a: &EpResult, b: &EpResult, what: &str) {
         b.mean_acceptance.to_bits(),
         "{what}: acceptance"
     );
-    assert_eq!(a.marginals.len(), b.marginals.len());
-    for (v, (ga, gb)) in a.marginals.iter().zip(&b.marginals).enumerate() {
+    assert_eq!(ma.len(), mb.len());
+    for (v, (ga, gb)) in ma.iter().zip(mb).enumerate() {
         assert_eq!(
             ga.mean.to_bits(),
             gb.mean.to_bits(),
@@ -66,8 +74,8 @@ fn bit_identical_across_1_2_8_threads() {
     assert_bit_identical(&t1, &t2, "1 vs 2 threads");
     assert_bit_identical(&t1, &t8, "1 vs 8 threads");
     // And the run must have actually inferred something.
-    assert!(t1.mean_acceptance > 0.0);
-    assert!((t1.marginals[0].mean - 2.0).abs() < 1.5);
+    assert!(t1.0.mean_acceptance > 0.0);
+    assert!((t1.1[0].mean - 2.0).abs() < 1.5);
 }
 
 #[test]
@@ -79,12 +87,11 @@ fn rerun_same_seed_is_reproducible() {
 
 #[test]
 fn different_seeds_differ() {
-    let a = chain_model().run_parallel(1, 2);
-    let b = chain_model().run_parallel(2, 2);
+    let (_, a) = run_farm(&mut chain_model(), 1, 2);
+    let (_, b) = run_farm(&mut chain_model(), 2, 2);
     assert!(
-        a.marginals
-            .iter()
-            .zip(&b.marginals)
+        a.iter()
+            .zip(&b)
             .any(|(x, y)| x.mean.to_bits() != y.mean.to_bits()),
         "distinct seeds should yield distinct MCMC noise"
     );
@@ -98,17 +105,17 @@ fn warm_start_is_bit_identical_across_1_2_8_threads() {
     // merged in deterministic site order, so they are part of the
     // guarantee, not an exception to it.
     let prior = vec![Gaussian::new(5.0, 50.0); 32];
-    let run_seq = |threads: usize| -> EpResult {
+    let run_seq = |threads: usize| -> Run {
         let mut ep = chain_model();
-        let _ = ep.run_parallel(0xC0FFEE, threads);
+        let _ = run_farm(&mut ep, 0xC0FFEE, threads);
         ep.warm_start(&prior);
-        let warm1 = ep.run_parallel(0xC0FFEE + 1, threads);
+        let warm1 = run_farm(&mut ep, 0xC0FFEE + 1, threads);
         assert!(ep.is_warm());
         ep.warm_start(&prior);
-        let warm2 = ep.run_parallel(0xC0FFEE + 2, threads);
+        let warm2 = run_farm(&mut ep, 0xC0FFEE + 2, threads);
         // The second warm window must continue from the first's state.
-        assert!(warm2.sweeps_total > warm2.sweeps_run);
-        assert_eq!(warm1.marginals.len(), warm2.marginals.len());
+        assert!(warm2.0.sweeps_total > warm2.0.sweeps_run);
+        assert_eq!(warm1.1.len(), warm2.1.len());
         warm2
     };
     let t1 = run_seq(1);
@@ -140,7 +147,7 @@ fn factor_sites_are_bit_identical_across_threads_too() {
     };
     let mut a = build();
     let mut b = build();
-    let ra = a.run_parallel(77, 1);
-    let rb = b.run_parallel(77, 8);
+    let ra = run_farm(&mut a, 77, 1);
+    let rb = run_farm(&mut b, 77, 8);
     assert_bit_identical(&ra, &rb, "factor sites 1 vs 8 threads");
 }

@@ -10,8 +10,20 @@
 //! a tight tolerance, warm and cold marginals must then agree to within
 //! 1e-6 absolute mean / 1e-4 relative variance.
 
-use bayesperf_inference::{EpConfig, ExpectationPropagation, FactorSite, Gaussian, MomentStrategy};
+use bayesperf_inference::{
+    EpConfig, EpRunStats, ExpectationPropagation, FactorSite, Gaussian, MomentStrategy,
+};
 use proptest::prelude::*;
+
+/// Runs the engine farm and collects every posterior marginal.
+fn run_farm(
+    ep: &mut ExpectationPropagation,
+    seed: u64,
+    threads: usize,
+) -> (EpRunStats, Vec<Gaussian>) {
+    let stats = ep.run_farm(seed, threads);
+    (stats, (0..ep.num_vars()).map(|v| ep.marginal(v)).collect())
+}
 
 /// A tight, noise-free EP configuration: analytic sites converge
 /// geometrically, so a small tolerance is reachable.
@@ -73,7 +85,7 @@ proptest! {
         // Warm path: run window A, swap observations to window B in
         // place, warm-start, run again.
         let mut warm_ep = build_model(&priors, &obs_a, &couplings);
-        let warm_a = warm_ep.run_parallel(1, 2);
+        let (warm_a, _) = run_farm(&mut warm_ep, 1, 2);
         prop_assert!(warm_a.converged, "window A must converge");
         for (i, &(value, _)) in obs_b.iter().enumerate() {
             warm_ep
@@ -83,16 +95,16 @@ proptest! {
         }
         let prior: Vec<Gaussian> = priors.iter().map(|&(m, v)| Gaussian::new(m, v)).collect();
         warm_ep.warm_start(&prior);
-        let warm = warm_ep.run_parallel(2, 2);
+        let (warm, warm_m) = run_farm(&mut warm_ep, 2, 2);
         prop_assert!(warm.converged, "warm window B must converge");
         prop_assert_eq!(warm.mcmc_site_updates, 0, "all sites analytic");
 
         // Cold path: a fresh engine on window B's data.
         let mut cold_ep = build_model(&priors, &obs_b, &couplings);
-        let cold = cold_ep.run_parallel(3, 1);
+        let (cold, cold_m) = run_farm(&mut cold_ep, 3, 1);
         prop_assert!(cold.converged, "cold window B must converge");
 
-        for (v, (w, c)) in warm.marginals.iter().zip(&cold.marginals).enumerate() {
+        for (v, (w, c)) in warm_m.iter().zip(&cold_m).enumerate() {
             prop_assert!(
                 (w.mean - c.mean).abs() <= 1e-6,
                 "variable {v}: warm mean {} vs cold {}",
