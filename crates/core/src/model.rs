@@ -15,6 +15,14 @@
 //!   of overlapping events in adjacent configurations inform unscheduled
 //!   events (Fig. 2's `⇝` edges).
 //!
+//! Factor densities are stored folded: the Student-t normaliser of each
+//! observation slot is computed when a window is loaded, the Gaussian
+//! constants of temporal and invariant factors when the engine is built,
+//! and each invariant side is compiled once to a flat postfix program
+//! ([`bayesperf_events::Postfix`]). All are bit-identical to the reference
+//! densities and `Expr::eval`, so the per-proposal work is only the part
+//! that depends on the state.
+//!
 //! # Engine reuse across windows
 //!
 //! The factor-graph *topology* is a pure function of the catalog: every
@@ -32,11 +40,11 @@
 //! ([`ChunkEngine::with_slices`]).
 
 use crate::error_model::{extrapolated_observation, gauge_observation, observation};
-use bayesperf_events::{Catalog, EventEnv, EventId, Expr, SourceNoise};
+use bayesperf_events::{Catalog, EventId, Postfix, SourceNoise};
 use bayesperf_graph::CsrAdjacency;
 use bayesperf_inference::{
-    AdaptiveBudget, EpConfig, EpRunStats, EpSite, ExpectationPropagation, Gaussian, McmcConfig,
-    StudentT,
+    AdaptiveBudget, EpConfig, EpRunStats, EpSite, ExpectationPropagation, FoldedGaussian,
+    FoldedStudentT, Gaussian, McmcConfig,
 };
 use bayesperf_simcpu::{MultiplexRun, Sample};
 
@@ -118,7 +126,8 @@ fn event_scales(catalog: &Catalog, cycles_per_window: f64) -> Vec<f64> {
         .collect()
 }
 
-/// One factor of a slice site.
+/// One factor of a slice site. Densities are stored folded (their
+/// `x`-free terms computed once), invariant sides compiled to postfix.
 enum Factor {
     /// Observation slot on a single local variable; the Student-t lives in
     /// the site's `obs` table and is swapped per window (`None` = the
@@ -128,13 +137,14 @@ enum Factor {
     Temporal {
         prev: usize,
         cur: usize,
-        gauss: Gaussian,
+        gauss: FoldedGaussian,
     },
-    /// Invariant residual factor over the current slice.
+    /// Invariant residual factor over the current slice; each side reads
+    /// its events as `x[local] * scale`.
     Inv {
-        lhs: Expr,
-        rhs: Expr,
-        gauss: Gaussian,
+        lhs: Postfix,
+        rhs: Postfix,
+        gauss: FoldedGaussian,
     },
 }
 
@@ -146,9 +156,9 @@ struct SliceSite {
     vars: Vec<usize>,
     factors: Vec<Factor>,
     /// Per-event observation slot (indexed by local variable `0..n_events`).
-    obs: Vec<Option<StudentT>>,
+    obs: Vec<Option<FoldedStudentT>>,
     /// CSR variable→factor index: `adj.row(i)` is the factor set touching
-    /// local variable `i` — the sparse locality the MCMC delta path walks.
+    /// local variable `i` — the sparse locality the MCMC kernel walks.
     adj: CsrAdjacency,
     hints: Vec<Option<f64>>,
     scale_hints: Vec<Option<f64>>,
@@ -159,38 +169,7 @@ struct SliceSite {
     source_noise: std::sync::Arc<Vec<SourceNoise>>,
 }
 
-struct SliceEnv<'a> {
-    x: &'a [f64],
-    scales: &'a [f64],
-}
-
-impl EventEnv for SliceEnv<'_> {
-    fn value(&self, id: EventId) -> f64 {
-        self.x[id.index()] * self.scales[id.index()]
-    }
-}
-
 impl SliceSite {
-    fn factor_log_pdf(&self, f: &Factor, x: &[f64]) -> f64 {
-        match f {
-            Factor::Obs { local } => match &self.obs[*local] {
-                Some(dist) => dist.log_pdf(x[*local]),
-                None => 0.0,
-            },
-            Factor::Temporal { prev, cur, gauss } => gauss.log_pdf(x[*cur] - x[*prev]),
-            Factor::Inv { lhs, rhs, gauss } => {
-                let env = SliceEnv {
-                    x,
-                    scales: &self.scales,
-                };
-                let l = lhs.eval(&env);
-                let r = rhs.eval(&env);
-                let rel = (l - r) / l.abs().max(r.abs()).max(1.0);
-                gauss.log_pdf(rel)
-            }
-        }
-    }
-
     /// Swaps this slice's observations to `window` (allocation-free): all
     /// slots and hints reset, then sampled events re-filled.
     ///
@@ -245,7 +224,7 @@ impl SliceSite {
             };
             self.hints[local] = Some(dist.loc);
             self.scale_hints[local] = Some(dist.scale * 3.0);
-            self.obs[local] = Some(dist);
+            self.obs[local] = Some(dist.folded());
         }
     }
 }
@@ -255,23 +234,24 @@ impl EpSite for SliceSite {
         &self.vars
     }
 
-    fn log_likelihood(&self, x: &[f64]) -> f64 {
-        self.factors.iter().map(|f| self.factor_log_pdf(f, x)).sum()
+    fn num_factors(&self) -> usize {
+        self.factors.len()
     }
 
-    fn log_likelihood_delta(&self, x: &mut [f64], i: usize, new: f64) -> f64 {
-        let old = x[i];
-        let mut before = 0.0;
-        for &fi in self.adj.row(i) {
-            before += self.factor_log_pdf(&self.factors[fi as usize], x);
+    fn factors_of(&self, i: usize) -> &[u32] {
+        self.adj.row(i)
+    }
+
+    fn factor_log_pdf(&self, f: usize, x: &[f64]) -> f64 {
+        match &self.factors[f] {
+            Factor::Obs { local } => self.obs[*local].map_or(0.0, |t| t.log_pdf(x[*local])),
+            Factor::Temporal { prev, cur, gauss } => gauss.log_pdf(x[*cur] - x[*prev]),
+            Factor::Inv { lhs, rhs, gauss } => {
+                let l = lhs.eval(x);
+                let r = rhs.eval(x);
+                gauss.log_pdf((l - r) / l.abs().max(r.abs()).max(1.0))
+            }
         }
-        x[i] = new;
-        let mut after = 0.0;
-        for &fi in self.adj.row(i) {
-            after += self.factor_log_pdf(&self.factors[fi as usize], x);
-        }
-        x[i] = old;
-        after - before
     }
 
     fn init_hint(&self, i: usize) -> Option<f64> {
@@ -349,7 +329,23 @@ impl ChunkEngine {
         let base_prior = Gaussian::new(cfg.prior_mean, cfg.prior_sd * cfg.prior_sd);
         let prior = vec![base_prior; slices * ne];
         let mut ep = ExpectationPropagation::new(prior.clone(), ep_config);
-        let tau_gauss = Gaussian::new(0.0, cfg.temporal_tau * cfg.temporal_tau);
+        let tau_gauss = Gaussian::new(0.0, cfg.temporal_tau * cfg.temporal_tau).folded();
+        // Invariant factors, compiled once: local `e` is catalog event `e`.
+        let load = |id: EventId| (id.index(), scales[id.index()]);
+        let invariants: Vec<(Postfix, Postfix, FoldedGaussian, Vec<EventId>)> = catalog
+            .invariants()
+            .iter()
+            .map(|inv| {
+                let sigma = inv.rel_noise.max(cfg.inv_sigma_floor);
+                let gauss = Gaussian::new(0.0, sigma * sigma).folded();
+                (
+                    inv.lhs.compile(&load),
+                    inv.rhs.compile(&load),
+                    gauss,
+                    inv.events(),
+                )
+            })
+            .collect();
 
         for t in 0..slices {
             // Site variables: slice t first, then slice t-1 (if any).
@@ -358,54 +354,39 @@ impl ChunkEngine {
                 vars.extend((0..ne).map(|e| (t - 1) * ne + e));
             }
             let nlocal = vars.len();
+            // Factors with their variable→factor edges, flattened to CSR.
             let mut factors = Vec::new();
+            let mut edges: Vec<(usize, u32)> = Vec::new();
 
             // One observation slot per event of slice t; slots activate
             // when a window delivers a sample for the event.
             for e in 0..ne {
+                edges.push((e, factors.len() as u32));
                 factors.push(Factor::Obs { local: e });
             }
 
             // Invariant factors on slice t.
-            for inv in catalog.invariants() {
-                let sigma = inv.rel_noise.max(cfg.inv_sigma_floor);
+            for (lhs, rhs, gauss, ids) in &invariants {
+                let fi = factors.len() as u32;
+                edges.extend(ids.iter().map(|id| (id.index(), fi)));
                 factors.push(Factor::Inv {
-                    lhs: inv.lhs.clone(),
-                    rhs: inv.rhs.clone(),
-                    gauss: Gaussian::new(0.0, sigma * sigma),
+                    lhs: lhs.clone(),
+                    rhs: rhs.clone(),
+                    gauss: *gauss,
                 });
             }
 
             // Temporal factors between slice t-1 and t.
             if t > 0 {
                 for e in 0..ne {
+                    let fi = factors.len() as u32;
+                    edges.push((ne + e, fi));
+                    edges.push((e, fi));
                     factors.push(Factor::Temporal {
                         prev: ne + e,
                         cur: e,
                         gauss: tau_gauss,
                     });
-                }
-            }
-
-            // Factor adjacency per local variable, flattened to CSR.
-            let mut edges: Vec<(usize, u32)> = Vec::new();
-            for (fi, f) in factors.iter().enumerate() {
-                let fi = fi as u32;
-                match f {
-                    Factor::Obs { local } => edges.push((*local, fi)),
-                    Factor::Temporal { prev, cur, .. } => {
-                        edges.push((*prev, fi));
-                        edges.push((*cur, fi));
-                    }
-                    Factor::Inv { lhs, rhs, .. } => {
-                        let mut ids = lhs.events();
-                        ids.extend(rhs.events());
-                        ids.sort_unstable();
-                        ids.dedup();
-                        for id in ids {
-                            edges.push((id.index(), fi));
-                        }
-                    }
                 }
             }
             let adj = CsrAdjacency::from_edges(nlocal, edges.iter().copied());
@@ -696,6 +677,16 @@ impl ChunkEngine {
         let ChunkEngine { ep, prior_buf, .. } = self;
         ep.warm_start(prior_buf);
         reset
+    }
+
+    /// The EP site of time slice `slice`, as a factor view (diagnostics
+    /// and kernel tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slice` is out of range.
+    pub fn site(&self, slice: usize) -> &dyn EpSite {
+        self.ep.site(slice)
     }
 
     /// Runs EP on the engine farm (allocation-free after the first run).

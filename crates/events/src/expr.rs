@@ -97,6 +97,47 @@ impl Expr {
         }
     }
 
+    /// Compiles the expression into a flat [`Postfix`] program. `load`
+    /// maps each event to a `(slot, scale)` pair: the program reads the
+    /// event's value as `x[slot] * scale`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the expression nests deeper than the program's fixed
+    /// evaluation stack (16 operands).
+    pub fn compile(&self, load: &impl Fn(EventId) -> (usize, f64)) -> Postfix {
+        let mut ops = Vec::new();
+        let depth = self.emit(load, &mut ops);
+        assert!(
+            depth <= POSTFIX_STACK,
+            "expression too deep to compile: {self}"
+        );
+        Postfix { ops }
+    }
+
+    /// Appends this subtree's postfix ops; returns the stack depth it needs.
+    fn emit(&self, load: &impl Fn(EventId) -> (usize, f64), ops: &mut Vec<Op>) -> usize {
+        let (a, b, op) = match self {
+            Expr::Const(v) => {
+                ops.push(Op::Const(*v));
+                return 1;
+            }
+            Expr::Event(id) => {
+                let (slot, scale) = load(*id);
+                ops.push(Op::Load(slot, scale));
+                return 1;
+            }
+            Expr::Add(a, b) => (a, b, Op::Add),
+            Expr::Sub(a, b) => (a, b, Op::Sub),
+            Expr::Mul(a, b) => (a, b, Op::Mul),
+            Expr::Div(a, b) => (a, b, Op::Div),
+        };
+        let da = a.emit(load, ops);
+        let db = b.emit(load, ops);
+        ops.push(op);
+        da.max(db + 1)
+    }
+
     /// The set of events referenced by this expression, in id order.
     pub fn events(&self) -> Vec<EventId> {
         let mut set = BTreeSet::new();
@@ -197,6 +238,65 @@ impl Expr {
     }
 }
 
+/// Operand-stack capacity of a [`Postfix`] program.
+const POSTFIX_STACK: usize = 16;
+
+/// One instruction of a [`Postfix`] program.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Op {
+    Const(f64),
+    /// Push `x[slot] * scale`.
+    Load(usize, f64),
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+/// An [`Expr`] flattened to postfix over scaled slot loads
+/// ([`Expr::compile`]): evaluation is one pass over a flat op list on a
+/// fixed stack, with no tree walk and no allocation.
+///
+/// [`Postfix::eval`] is bit-identical to [`Expr::eval`] over an environment
+/// returning `x[slot] * scale`: the same operations in the same order, and
+/// the same "division by zero yields `0.0`" rule.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Postfix {
+    ops: Vec<Op>,
+}
+
+impl Postfix {
+    /// Evaluates the program against the slot values `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a load slot is out of range of `x`.
+    pub fn eval(&self, x: &[f64]) -> f64 {
+        let mut stack = [0.0f64; POSTFIX_STACK];
+        let mut top = 0;
+        for op in &self.ops {
+            let v = match *op {
+                Op::Const(v) => v,
+                Op::Load(slot, scale) => x[slot] * scale,
+                op => {
+                    top -= 2;
+                    let (a, b) = (stack[top], stack[top + 1]);
+                    match op {
+                        Op::Add => a + b,
+                        Op::Sub => a - b,
+                        Op::Mul => a * b,
+                        _ if b == 0.0 => 0.0,
+                        _ => a / b,
+                    }
+                }
+            };
+            stack[top] = v;
+            top += 1;
+        }
+        stack[0]
+    }
+}
+
 impl ops::Add for Expr {
     type Output = Expr;
     fn add(self, rhs: Expr) -> Expr {
@@ -293,6 +393,22 @@ mod tests {
     fn product_of_events_is_not_linear() {
         assert!((e(0) * e(1)).linear_form().is_none());
         assert!((e(0) / e(1)).linear_form().is_none());
+    }
+
+    #[test]
+    fn compiled_program_matches_tree_evaluation() {
+        let x = [2.0, 3.0, 0.0];
+        let scales = [1.5, 0.5, 4.0];
+        let env = |id: EventId| x[id.index()] * scales[id.index()];
+        let load = |id: EventId| (id.index(), scales[id.index()]);
+        for expr in [
+            (e(0) + e(1)) * Expr::konst(2.0) - e(2) / Expr::konst(4.0),
+            e(0) / e(2),
+            e(0) - (e(1) - (e(2) * (e(0) + Expr::konst(1.0)))),
+        ] {
+            let got = expr.compile(&load).eval(&x);
+            assert_eq!(got.to_bits(), expr.eval(&env).to_bits(), "{expr}");
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use assign::{try_assign, Assignment, AssignmentError};
 pub use catalog::Catalog;
 pub use derived::DerivedEvent;
 pub use event::{Domain, EventDesc, Semantic};
-pub use expr::{EventEnv, Expr};
+pub use expr::{EventEnv, Expr, Postfix};
 pub use id::{CounterId, EventId};
 pub use invariant::Invariant;
 pub use source::{SourceDesc, SourceId, SourceKind, SourceNoise};

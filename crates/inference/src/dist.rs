@@ -41,6 +41,15 @@ impl Gaussian {
         -0.5 * (LN_2PI + self.var.ln()) - d * d / (2.0 * self.var)
     }
 
+    /// [`Gaussian::log_pdf`] with its `x`-free terms folded once.
+    pub fn folded(&self) -> FoldedGaussian {
+        FoldedGaussian {
+            mean: self.mean,
+            norm: -0.5 * (LN_2PI + self.var.ln()),
+            two_var: 2.0 * self.var,
+        }
+    }
+
     /// Draws a sample.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.mean + self.std_dev() * standard_normal(rng)
@@ -117,6 +126,21 @@ impl StudentT {
             - (v + 1.0) / 2.0 * (z * z / v).ln_1p()
     }
 
+    /// [`StudentT::log_pdf`] with its `x`-free terms folded once.
+    pub fn folded(&self) -> FoldedStudentT {
+        let v = self.dof;
+        FoldedStudentT {
+            loc: self.loc,
+            scale: self.scale,
+            dof: v,
+            norm: ln_gamma((v + 1.0) / 2.0)
+                - ln_gamma(v / 2.0)
+                - 0.5 * (v * std::f64::consts::PI).ln()
+                - self.scale.ln(),
+            half_dof_p1: (v + 1.0) / 2.0,
+        }
+    }
+
     /// Draws a sample (normal / sqrt(chi²/ν) representation).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let z = standard_normal(rng);
@@ -136,6 +160,46 @@ impl StudentT {
         } else {
             None
         }
+    }
+}
+
+/// A [`Gaussian`] log density with its `x`-free terms `−½(ln 2π + ln var)`
+/// and `2·var` computed once. It keeps the reference association and the
+/// true division, so it is bit-identical to [`Gaussian::log_pdf`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FoldedGaussian {
+    mean: f64,
+    norm: f64,
+    two_var: f64,
+}
+
+impl FoldedGaussian {
+    /// Log probability density at `x`.
+    #[inline]
+    pub fn log_pdf(&self, x: f64) -> f64 {
+        let d = x - self.mean;
+        self.norm - d * d / self.two_var
+    }
+}
+
+/// A [`StudentT`] log density with its `x`-free terms
+/// `lnΓ((ν+1)/2) − lnΓ(ν/2) − ½ln(νπ) − ln s` and `(ν+1)/2` computed once;
+/// bit-identical to [`StudentT::log_pdf`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FoldedStudentT {
+    loc: f64,
+    scale: f64,
+    dof: f64,
+    norm: f64,
+    half_dof_p1: f64,
+}
+
+impl FoldedStudentT {
+    /// Log probability density at `x`.
+    #[inline]
+    pub fn log_pdf(&self, x: f64) -> f64 {
+        let z = (x - self.loc) / self.scale;
+        self.norm - self.half_dof_p1 * (z * z / self.dof).ln_1p()
     }
 }
 

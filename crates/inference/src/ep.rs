@@ -12,6 +12,18 @@
 //! 3. local update: moment-match a Gaussian to the tilted distribution
 //! 4. global update: `g ← g · Δgₖ` with damping
 //!
+//! # The MCMC proposal path
+//!
+//! A site is a factor view: [`EpSite::factors_of`] is the CSR row of
+//! factors adjacent to a local variable, [`EpSite::factor_log_pdf`]
+//! evaluates one factor. An MCMC site update hands the sampler those
+//! factors plus the cavity as per-variable unary terms, its `x`-free terms
+//! folded once per update ([`FoldedGaussian`]). The sampler caches every
+//! factor's value and commits a proposal's re-evaluated factors only on
+//! accept ([`McmcScratch`](crate::McmcScratch)): one evaluation of the
+//! moved variable's adjacent factors per proposal, with posteriors
+//! bit-identical to re-evaluating both sides.
+//!
 //! # The batched-parallel sweep schedule
 //!
 //! Sites only interact through the global approximation — the parallelism
@@ -94,7 +106,7 @@
 //! the engine and reused across sweeps *and* across windows.
 
 use crate::analytic::AnalyticScratch;
-use crate::dist::Gaussian;
+use crate::dist::{FoldedGaussian, Gaussian};
 use crate::mcmc::{McmcConfig, McmcSampler, Target};
 use crate::message::GaussianMessage;
 use crate::parallel::{SiteUpdate, SiteWorkspace, SweepSchedule};
@@ -118,25 +130,24 @@ pub trait EpSite {
     /// Indices of the global variables this site's likelihood touches.
     fn vars(&self) -> &[usize];
 
-    /// Log likelihood of the site's data given the site-local state `x`
-    /// (aligned with [`EpSite::vars`]).
-    fn log_likelihood(&self, x: &[f64]) -> f64;
+    /// Number of likelihood factors.
+    fn num_factors(&self) -> usize;
 
-    /// Change in log likelihood when local variable `i` moves from `x[i]`
-    /// to `new`; must leave `x` unchanged.
-    ///
-    /// The default recomputes the full likelihood twice. Sites with factor
-    /// structure should override it to only re-evaluate the factors adjacent
-    /// to `i` — the locality the BayesPerf accelerator exploits.
-    /// [`FactorSite`](crate::FactorSite) implements exactly that, backed by
-    /// a CSR variable→factor index.
-    fn log_likelihood_delta(&self, x: &mut [f64], i: usize, new: f64) -> f64 {
-        let old = x[i];
-        let before = self.log_likelihood(x);
-        x[i] = new;
-        let after = self.log_likelihood(x);
-        x[i] = old;
-        after - before
+    /// The factors adjacent to local variable `i`, in a fixed order (a CSR
+    /// row): every factor that reads `x[i]` must be listed. A move of `i`
+    /// re-evaluates only these — the locality the BayesPerf accelerator
+    /// exploits.
+    fn factors_of(&self, i: usize) -> &[u32];
+
+    /// Log density of factor `f` given the site-local state `x` (aligned
+    /// with [`EpSite::vars`]).
+    fn factor_log_pdf(&self, f: usize, x: &[f64]) -> f64;
+
+    /// Log likelihood of the site's data: the sum of all factors.
+    fn log_likelihood(&self, x: &[f64]) -> f64 {
+        (0..self.num_factors())
+            .map(|f| self.factor_log_pdf(f, x))
+            .sum()
     }
 
     /// Optional MCMC initialization hint for local variable `i` (e.g. the
@@ -185,7 +196,7 @@ impl<S: EpSite + Send + Sync + 'static> SiteObj for S {
     }
 }
 
-/// An [`EpSite`] built from a closure.
+/// An [`EpSite`] built from a closure: one factor over all its variables.
 #[derive(Debug, Clone)]
 pub struct FnSite<F> {
     vars: Vec<usize>,
@@ -211,7 +222,13 @@ impl<F: Fn(&[f64]) -> f64> EpSite for FnSite<F> {
     fn vars(&self) -> &[usize] {
         &self.vars
     }
-    fn log_likelihood(&self, x: &[f64]) -> f64 {
+    fn num_factors(&self) -> usize {
+        1
+    }
+    fn factors_of(&self, _: usize) -> &[u32] {
+        &[0]
+    }
+    fn factor_log_pdf(&self, _: usize, x: &[f64]) -> f64 {
         (self.f)(x)
     }
 }
@@ -514,6 +531,15 @@ impl ExpectationPropagation {
     /// schedule depends on it.
     pub fn site_mut<S: EpSite + Send + Sync + 'static>(&mut self, k: usize) -> Option<&mut S> {
         self.sites.get_mut(k)?.as_any_mut().downcast_mut::<S>()
+    }
+
+    /// Site `k` (read-only; diagnostics and kernel tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range.
+    pub fn site(&self, k: usize) -> &dyn EpSite {
+        self.sites[k].as_ref()
     }
 
     /// The current posterior marginal of variable `v` (prior if no update
@@ -909,6 +935,7 @@ fn compute_site_update(
     let SiteWorkspace {
         cavity_msgs,
         cavity,
+        cavity_folded,
         init,
         scales,
         scratch,
@@ -1004,7 +1031,12 @@ fn compute_site_update(
             }
             _ => (config.mcmc.burn_in, config.mcmc.samples),
         };
-        let target = TiltedTarget { site, cavity };
+        cavity_folded.clear();
+        cavity_folded.extend(cavity.iter().map(Gaussian::folded));
+        let target = TiltedTarget {
+            site,
+            cavity: cavity_folded,
+        };
         sampler.run_budgeted(&target, init, scales, rng, scratch, burn_in, samples);
         out.used_mcmc = true;
         out.mcmc_samples = scratch.samples_run();
@@ -1055,10 +1087,11 @@ fn compute_site_update(
     }
 }
 
-/// The tilted distribution of one site: likelihood × cavity.
+/// The tilted distribution of one site, likelihood × cavity: the site's
+/// factor view, with the cavity as the per-variable unary term.
 struct TiltedTarget<'a> {
     site: &'a dyn EpSite,
-    cavity: &'a [Gaussian],
+    cavity: &'a [FoldedGaussian],
 }
 
 impl Target for TiltedTarget<'_> {
@@ -1066,18 +1099,20 @@ impl Target for TiltedTarget<'_> {
         self.cavity.len()
     }
 
-    fn log_density(&self, x: &[f64]) -> f64 {
-        let prior: f64 = x
-            .iter()
-            .zip(self.cavity)
-            .map(|(xi, g)| g.log_pdf(*xi))
-            .sum();
-        prior + self.site.log_likelihood(x)
+    fn num_factors(&self) -> usize {
+        self.site.num_factors()
     }
 
-    fn log_density_delta(&self, x: &mut [f64], i: usize, new: f64) -> f64 {
-        let d_prior = self.cavity[i].log_pdf(new) - self.cavity[i].log_pdf(x[i]);
-        d_prior + self.site.log_likelihood_delta(x, i, new)
+    fn factors_of(&self, i: usize) -> &[u32] {
+        self.site.factors_of(i)
+    }
+
+    fn factor_log_pdf(&self, f: usize, x: &[f64]) -> f64 {
+        self.site.factor_log_pdf(f, x)
+    }
+
+    fn unary_log_pdf(&self, i: usize, xi: f64) -> f64 {
+        self.cavity[i].log_pdf(xi)
     }
 }
 

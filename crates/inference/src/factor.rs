@@ -1,17 +1,19 @@
-//! Factor-structured EP sites with sparse delta evaluation and an analytic
-//! Gaussian-linear fast path.
+//! Factor-structured EP sites with sparse proposal evaluation and an
+//! analytic Gaussian-linear fast path.
 //!
-//! [`EpSite::log_likelihood_delta`] documents the locality contract — when
-//! one local variable moves, only the factors adjacent to it need
-//! re-evaluation — but a closure-based [`FnSite`](crate::FnSite) cannot
-//! exploit it: the closure is opaque, so every proposal pays the full
-//! likelihood twice. [`FactorSite`] makes the factorization explicit: the
-//! site is a list of factors, each declaring which local variables it
-//! touches, and a CSR-flattened variable→factor index
-//! ([`bayesperf_graph::CsrAdjacency`]) drives the delta evaluation. For a
-//! site with `F` factors of bounded arity, a proposal costs `O(deg(i))`
-//! instead of `O(F)` — the same sparsity the accelerator's AcMC² sampler IPs
-//! exploit in hardware (§5).
+//! The [`EpSite`] factor view states the locality contract — when one local
+//! variable moves, only the factors adjacent to it need re-evaluation — but
+//! a closure-based [`FnSite`](crate::FnSite) is a single opaque factor over
+//! all its variables, so every proposal pays the full likelihood.
+//! [`FactorSite`] makes the factorization explicit: the site is a list of
+//! factors, each declaring which local variables it touches, and its
+//! CSR-flattened variable→factor index ([`bayesperf_graph::CsrAdjacency`])
+//! is the [`EpSite::factors_of`] row the MCMC kernel walks. The kernel
+//! caches every factor's value at the chain state and commits on accept
+//! (see [`crate::McmcScratch`]), so for a site with `F` factors of bounded
+//! arity a proposal costs one evaluation of `deg(i)` factors instead of
+//! `O(F)` — the same sparsity the accelerator's AcMC² sampler IPs exploit
+//! in hardware (§5).
 //!
 //! # Typed factors and the analytic moment fast path
 //!
@@ -341,8 +343,8 @@ impl FactorSiteBuilder {
     }
 }
 
-/// An [`EpSite`] whose likelihood is an explicit product of factors, with
-/// CSR-indexed sparse delta evaluation and, when every factor is
+/// An [`EpSite`] whose likelihood is an explicit product of factors, with a
+/// CSR-indexed factor view for sparse proposals and, when every factor is
 /// Gaussian-linear, closed-form tilted moments.
 pub struct FactorSite {
     vars: Vec<usize>,
@@ -366,16 +368,6 @@ impl FactorSite {
     /// Starts building a site over the global variables `vars`.
     pub fn builder(vars: Vec<usize>) -> FactorSiteBuilder {
         FactorSiteBuilder::new(vars)
-    }
-
-    /// Number of factors.
-    pub fn num_factors(&self) -> usize {
-        self.factors.len()
-    }
-
-    /// The factor indices adjacent to local variable `i`.
-    pub fn factors_of(&self, i: usize) -> &[u32] {
-        self.adj.row(i)
     }
 
     /// Replaces the observed value of the Gaussian-linear factor at
@@ -412,23 +404,16 @@ impl EpSite for FactorSite {
         &self.vars
     }
 
-    fn log_likelihood(&self, x: &[f64]) -> f64 {
-        self.factors.iter().map(|f| f.log_pdf(x)).sum()
+    fn num_factors(&self) -> usize {
+        self.factors.len()
     }
 
-    fn log_likelihood_delta(&self, x: &mut [f64], i: usize, new: f64) -> f64 {
-        let old = x[i];
-        let mut before = 0.0;
-        for &fi in self.adj.row(i) {
-            before += self.factors[fi as usize].log_pdf(x);
-        }
-        x[i] = new;
-        let mut after = 0.0;
-        for &fi in self.adj.row(i) {
-            after += self.factors[fi as usize].log_pdf(x);
-        }
-        x[i] = old;
-        after - before
+    fn factors_of(&self, i: usize) -> &[u32] {
+        self.adj.row(i)
+    }
+
+    fn factor_log_pdf(&self, f: usize, x: &[f64]) -> f64 {
+        self.factors[f].log_pdf(x)
     }
 
     fn init_hint(&self, i: usize) -> Option<f64> {
@@ -479,34 +464,6 @@ mod tests {
         let expect = Gaussian::new(3.0, 0.01).log_pdf(2.5)
             + Gaussian::new(0.0, 0.01).log_pdf(2.5 + 7.1 - 10.0);
         assert!((site.log_likelihood(&x) - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delta_matches_full_recompute_and_restores_state() {
-        let site = two_factor_site();
-        let mut x = vec![2.5, 7.1];
-        let before = site.log_likelihood(&x);
-        let delta = site.log_likelihood_delta(&mut x, 1, 6.4);
-        assert_eq!(x, vec![2.5, 7.1], "state must be restored");
-        let full = site.log_likelihood(&[2.5, 6.4]) - before;
-        assert!((delta - full).abs() < 1e-12, "delta {delta} vs {full}");
-    }
-
-    #[test]
-    fn delta_only_visits_adjacent_factors() {
-        // Factor 0 touches only local 0, factor 1 touches both.
-        let site = two_factor_site();
-        assert_eq!(site.factors_of(0), &[0, 1]);
-        assert_eq!(site.factors_of(1), &[1]);
-        // Moving local 1 must not evaluate factor 0: make that observable
-        // with a factor that panics when evaluated.
-        let trap = FactorSite::builder(vec![0, 1])
-            .factor(&[0], |_: &[f64]| -> f64 { panic!("factor 0 must not run") })
-            .factor(&[1], |x: &[f64]| -x[1] * x[1])
-            .build();
-        let mut x = vec![0.0, 1.0];
-        let d = trap.log_likelihood_delta(&mut x, 1, 2.0);
-        assert!((d - (-4.0 + 1.0)).abs() < 1e-12);
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod rng;
 mod special;
 
 pub use analytic::AnalyticScratch;
-pub use dist::{Gaussian, Gumbel, StudentT};
+pub use dist::{FoldedGaussian, FoldedStudentT, Gaussian, Gumbel, StudentT};
 pub use ep::{
     AdaptiveBudget, EpConfig, EpRunStats, EpSite, ExpectationPropagation, FnSite, MomentStrategy,
 };

@@ -1,41 +1,61 @@
-//! Component-wise random-walk Metropolis-Hastings.
+//! Component-wise random-walk Metropolis-Hastings over a factor view.
 //!
 //! This is the software model of the AcMC²-generated sampler IPs of §5: a
 //! random-walk MCMC kernel whose per-variable proposals only need the log
 //! density change of the factors adjacent to that variable. The accelerator
 //! runs many of these in parallel; in software the EP engine farm runs one
 //! chain per site update across worker threads, so the kernel is built to be
-//! allocation-free after warm-up: all chain state, step sizes, and moment
-//! accumulators live in a caller-owned [`McmcScratch`] that is reused across
-//! site updates ([`McmcSampler::run_with_scratch`]). Moments are accumulated
-//! with Welford's online algorithm, which is numerically stable for counter
-//! magnitudes like 1e9 cycles where the naive `Σx²/n − mean²` form loses all
-//! significant digits to catastrophic cancellation.
+//! allocation-free after warm-up: all chain state, step sizes, factor caches
+//! and moment accumulators live in a caller-owned [`McmcScratch`] that is
+//! reused across site updates ([`McmcSampler::run_with_scratch`]). Moments
+//! are accumulated with Welford's online algorithm, which is numerically
+//! stable for counter magnitudes like 1e9 cycles where the naive
+//! `Σx²/n − mean²` form loses all significant digits to catastrophic
+//! cancellation.
+//!
+//! # The factor view and the factor cache
+//!
+//! A [`Target`] is a sum of factors plus one unary term per component (for
+//! EP, the cavity); [`Target::factors_of`] lists a component's adjacent
+//! factors in a fixed (CSR row) order. [`McmcScratch::seat`] caches every
+//! factor's value at the chain's start. A proposal
+//! ([`McmcScratch::propose`]) evaluates only the moved component's adjacent
+//! factors, once, at the proposed value, into a staging buffer; the
+//! "before" side is the sum of the cached values. Only an accepted move
+//! ([`McmcScratch::accept`]) commits the staged values, so the cache always
+//! holds every factor's value at the current state.
+//!
+//! **Bit-identity rule.** The delta is
+//! `(unary(new) − unary(old)) + (Σ_row f(x′) − Σ_row f(x))`, each sum from
+//! `0.0` in row order — the association of a two-pass re-evaluation, so
+//! caching changes no result. Factors may fold only terms that do not
+//! depend on `x`, and must keep the association order of the reference
+//! density (see [`FoldedGaussian`](crate::FoldedGaussian)).
 
 use crate::standard_normal;
 use rand::Rng;
 
-/// A log-density target for MCMC.
+/// A log-density target for MCMC, seen as factors: the density is
+/// `Σᵢ unary(i, xᵢ) + Σ_f factor(f, x)` up to an additive constant.
 pub trait Target {
     /// Dimension of the state vector.
     fn dim(&self) -> usize;
 
-    /// Log density (up to an additive constant) of the full state.
-    fn log_density(&self, x: &[f64]) -> f64;
+    /// Number of factors.
+    fn num_factors(&self) -> usize;
 
-    /// Change in log density when component `i` moves from `x[i]` to `new`.
-    ///
-    /// The default recomputes the full density twice; targets with factor
-    /// structure should override with the local (adjacent-factors-only)
-    /// computation — that locality is exactly what the accelerator's
-    /// parallel samplers exploit.
-    fn log_density_delta(&self, x: &mut [f64], i: usize, new: f64) -> f64 {
-        let old = x[i];
-        let before = self.log_density(x);
-        x[i] = new;
-        let after = self.log_density(x);
-        x[i] = old;
-        after - before
+    /// The factors adjacent to component `i` — the only ones a move of `i`
+    /// re-evaluates. Every factor that reads `x[i]` must be listed.
+    fn factors_of(&self, i: usize) -> &[u32];
+
+    /// Log density of factor `f` at the full state `x`.
+    fn factor_log_pdf(&self, f: usize, x: &[f64]) -> f64;
+
+    /// Log density of the unary term of component `i` at value `xi`
+    /// (the EP cavity); none by default.
+    fn unary_log_pdf(&self, i: usize, xi: f64) -> f64 {
+        let _ = (i, xi);
+        0.0
     }
 }
 
@@ -76,8 +96,8 @@ pub struct McmcStats {
     pub acceptance: f64,
 }
 
-/// Reusable chain state and moment accumulators — the allocation-free MCMC
-/// hot path.
+/// Reusable chain state, factor cache and moment accumulators — the
+/// allocation-free MCMC hot path.
 ///
 /// Allocate one per worker (or one per sequential driver), call
 /// [`McmcSampler::run_with_scratch`] repeatedly, and read the results
@@ -89,6 +109,16 @@ pub struct McmcStats {
 pub struct McmcScratch {
     /// Chain state.
     x: Vec<f64>,
+    /// Log density of every factor at `x` (see the module docs).
+    factor_lp: Vec<f64>,
+    /// Unary log density of every component at `x`.
+    unary_lp: Vec<f64>,
+    /// Adjacent-factor values and unary value of the last proposal,
+    /// committed by [`McmcScratch::accept`].
+    staged: Vec<f64>,
+    staged_unary: f64,
+    /// Component and value of the last proposal.
+    pending: (usize, f64),
     /// Per-component proposal step sizes.
     steps: Vec<f64>,
     /// Welford running means.
@@ -128,6 +158,7 @@ impl McmcScratch {
     /// Grows every buffer to hold `dim` components.
     pub fn reserve(&mut self, dim: usize) {
         self.x.reserve(dim);
+        self.unary_lp.reserve(dim);
         self.steps.reserve(dim);
         self.mean.reserve(dim);
         self.m2.reserve(dim);
@@ -138,13 +169,11 @@ impl McmcScratch {
 
     /// Resets buffers for a `d`-dimensional run (no allocation once
     /// capacity suffices).
-    fn prepare(&mut self, init: &[f64], scales: &[f64], initial_step: f64) {
-        self.x.clear();
-        self.x.extend_from_slice(init);
+    fn prepare(&mut self, scales: &[f64], initial_step: f64) {
         self.steps.clear();
         self.steps
             .extend(scales.iter().map(|s| initial_step * s.abs().max(1e-9)));
-        let d = init.len();
+        let d = scales.len();
         self.mean.clear();
         self.mean.resize(d, 0.0);
         self.m2.clear();
@@ -159,6 +188,60 @@ impl McmcScratch {
         self.samples_run = 0;
         self.proposed = 0;
         self.accepted = 0;
+    }
+
+    /// Places the chain at `x` and caches every factor's and unary term's
+    /// log density there.
+    pub fn seat<T: Target + ?Sized>(&mut self, target: &T, x: &[f64]) {
+        self.x.clear();
+        self.x.extend_from_slice(x);
+        self.factor_lp.clear();
+        for f in 0..target.num_factors() {
+            self.factor_lp.push(target.factor_log_pdf(f, &self.x));
+        }
+        self.unary_lp.clear();
+        for (i, &xi) in x.iter().enumerate() {
+            self.unary_lp.push(target.unary_log_pdf(i, xi));
+        }
+    }
+
+    /// The log-density change of moving component `i` to `new`: evaluates
+    /// `i`'s adjacent factors once, at `new`, and stages the values for
+    /// [`McmcScratch::accept`]. The chain state is left unchanged.
+    #[inline]
+    pub fn propose<T: Target + ?Sized>(&mut self, target: &T, i: usize, new: f64) -> f64 {
+        let old = self.x[i];
+        self.x[i] = new;
+        self.staged.clear();
+        let mut before = 0.0;
+        let mut after = 0.0;
+        for &f in target.factors_of(i) {
+            let lp = target.factor_log_pdf(f as usize, &self.x);
+            before += self.factor_lp[f as usize];
+            after += lp;
+            self.staged.push(lp);
+        }
+        self.x[i] = old;
+        self.staged_unary = target.unary_log_pdf(i, new);
+        self.pending = (i, new);
+        (self.staged_unary - self.unary_lp[i]) + (after - before)
+    }
+
+    /// Moves the chain to the last proposal and commits its staged factor
+    /// values into the cache; call it with the target that proposal used.
+    #[inline]
+    pub fn accept<T: Target + ?Sized>(&mut self, target: &T) {
+        let (i, new) = self.pending;
+        self.x[i] = new;
+        self.unary_lp[i] = self.staged_unary;
+        for (&f, &lp) in target.factors_of(i).iter().zip(&self.staged) {
+            self.factor_lp[f as usize] = lp;
+        }
+    }
+
+    /// The chain's current state.
+    pub fn state(&self) -> &[f64] {
+        &self.x
     }
 
     /// Per-component posterior mean estimates of the last run.
@@ -286,7 +369,8 @@ impl McmcSampler {
         let d = target.dim();
         assert_eq!(init.len(), d, "init length mismatch");
         assert_eq!(scales.len(), d, "scales length mismatch");
-        scratch.prepare(init, scales, self.config.initial_step);
+        scratch.seat(target, init);
+        scratch.prepare(scales, self.config.initial_step);
 
         let mut accepted = 0usize;
         let mut proposed = 0usize;
@@ -298,11 +382,11 @@ impl McmcSampler {
             let burning = sweep < burn_in;
             for i in 0..d {
                 let new = scratch.x[i] + scratch.steps[i] * standard_normal(rng);
-                let delta = target.log_density_delta(&mut scratch.x, i, new);
+                let delta = scratch.propose(target, i, new);
                 proposed += 1;
                 scratch.prop_window[i] += 1;
                 if delta >= 0.0 || rng.gen::<f64>() < delta.exp() {
-                    scratch.x[i] = new;
+                    scratch.accept(target);
                     accepted += 1;
                     scratch.acc_window[i] += 1;
                 }
@@ -357,14 +441,17 @@ mod tests {
         fn dim(&self) -> usize {
             self.components.len()
         }
-        fn log_density(&self, x: &[f64]) -> f64 {
-            x.iter()
-                .zip(&self.components)
-                .map(|(xi, g)| g.log_pdf(*xi))
-                .sum()
+        fn num_factors(&self) -> usize {
+            0
         }
-        fn log_density_delta(&self, x: &mut [f64], i: usize, new: f64) -> f64 {
-            self.components[i].log_pdf(new) - self.components[i].log_pdf(x[i])
+        fn factors_of(&self, _: usize) -> &[u32] {
+            &[]
+        }
+        fn factor_log_pdf(&self, _: usize, _: &[f64]) -> f64 {
+            unreachable!("no factors")
+        }
+        fn unary_log_pdf(&self, i: usize, xi: f64) -> f64 {
+            self.components[i].log_pdf(xi)
         }
     }
 
@@ -442,13 +529,22 @@ mod tests {
 
     struct CorrelatedTarget;
 
+    // x0 ~ N(0,1); x1 | x0 ~ N(x0, 0.01): strong coupling.
     impl Target for CorrelatedTarget {
         fn dim(&self) -> usize {
             2
         }
-        // x0 ~ N(0,1); x1 | x0 ~ N(x0, 0.01): strong coupling.
-        fn log_density(&self, x: &[f64]) -> f64 {
-            Gaussian::new(0.0, 1.0).log_pdf(x[0]) + Gaussian::new(x[0], 0.01).log_pdf(x[1])
+        fn num_factors(&self) -> usize {
+            2
+        }
+        fn factors_of(&self, i: usize) -> &[u32] {
+            [&[0, 1][..], &[1][..]][i]
+        }
+        fn factor_log_pdf(&self, f: usize, x: &[f64]) -> f64 {
+            match f {
+                0 => Gaussian::new(0.0, 1.0).log_pdf(x[0]),
+                _ => Gaussian::new(x[0], 0.01).log_pdf(x[1]),
+            }
         }
     }
 
@@ -469,25 +565,20 @@ mod tests {
     }
 
     #[test]
-    fn default_delta_matches_full_recompute() {
-        struct Full;
-        impl Target for Full {
-            fn dim(&self) -> usize {
-                2
-            }
-            fn log_density(&self, x: &[f64]) -> f64 {
-                -(x[0] * x[0] + x[0] * x[1] + x[1] * x[1])
-            }
-        }
-        let t = Full;
-        let mut x = vec![0.5, -0.25];
-        let before = t.log_density(&x);
-        let delta = t.log_density_delta(&mut x, 0, 1.5);
-        // State must be restored.
-        assert_eq!(x[0], 0.5);
-        let mut y = x.clone();
-        y[0] = 1.5;
-        assert!((delta - (t.log_density(&y) - before)).abs() < 1e-12);
+    fn cached_delta_matches_full_recompute() {
+        let t = &CorrelatedTarget;
+        let full = |x: &[f64]| t.factor_log_pdf(0, x) + t.factor_log_pdf(1, x);
+        let mut scratch = McmcScratch::new();
+        scratch.seat(t, &[0.5, -0.25]);
+        let delta = scratch.propose(t, 0, 1.5);
+        // State must be unchanged until the move is accepted.
+        assert_eq!(scratch.state(), &[0.5, -0.25]);
+        assert!((delta - (full(&[1.5, -0.25]) - full(&[0.5, -0.25]))).abs() < 1e-12);
+        scratch.accept(t);
+        assert_eq!(scratch.state(), &[1.5, -0.25]);
+        // The next proposal reads the committed cache.
+        let delta = scratch.propose(t, 1, 0.75);
+        assert!((delta - (full(&[1.5, 0.75]) - full(&[1.5, -0.25]))).abs() < 1e-12);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   the merge deterministic.
 
 use crate::analytic::AnalyticScratch;
-use crate::dist::Gaussian;
+use crate::dist::{FoldedGaussian, Gaussian};
 use crate::ep::EpSite;
 use crate::mcmc::McmcScratch;
 use crate::message::GaussianMessage;
@@ -87,14 +87,16 @@ impl SweepSchedule {
 /// Per-worker reusable buffers for one site update.
 ///
 /// Everything a site update needs besides the shared read-only state:
-/// cavity messages/distributions, MCMC initialization and proposal scales,
-/// the chain's [`McmcScratch`], and the Gaussian-linear solver's
-/// [`AnalyticScratch`]. Buffers grow to the largest site dimension seen,
-/// then stay allocation-free.
+/// cavity messages/distributions (and their folded log densities), MCMC
+/// initialization and proposal scales, the chain's [`McmcScratch`], and the
+/// Gaussian-linear solver's [`AnalyticScratch`]. Buffers grow to the
+/// largest site dimension seen, then stay allocation-free.
 #[derive(Debug, Default)]
 pub struct SiteWorkspace {
     pub(crate) cavity_msgs: Vec<GaussianMessage>,
     pub(crate) cavity: Vec<Gaussian>,
+    /// The cavity with its `x`-free terms folded — the MCMC unary terms.
+    pub(crate) cavity_folded: Vec<FoldedGaussian>,
     pub(crate) init: Vec<f64>,
     pub(crate) scales: Vec<f64>,
     pub(crate) scratch: McmcScratch,

@@ -1,6 +1,8 @@
 //! Proof that the MCMC hot path is allocation-free after warm-up: a
 //! counting global allocator wraps the system allocator, and a warmed-up
-//! `run_with_scratch` call must not change the allocation counter.
+//! `run_with_scratch` call — factor cache seating, cached proposals,
+//! staging and commit-on-accept included — must not change the allocation
+//! counter.
 //!
 //! This file holds exactly one test so no concurrent test can pollute the
 //! global counter.
@@ -32,24 +34,29 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// A factor-structured target (two coupled Gaussians) whose evaluation
-/// allocates nothing — mirroring the slice sites the corrector builds.
+/// A factor-structured target (two coupled Gaussians plus a unary term on
+/// each component) whose evaluation allocates nothing — mirroring the
+/// slice sites and cavities the EP engine hands the sampler.
 struct Coupled;
 
 impl Target for Coupled {
     fn dim(&self) -> usize {
         2
     }
-    fn log_density(&self, x: &[f64]) -> f64 {
-        Gaussian::new(2.0, 1.0).log_pdf(x[0]) + Gaussian::new(x[0], 0.25).log_pdf(x[1])
+    fn num_factors(&self) -> usize {
+        2
     }
-    fn log_density_delta(&self, x: &mut [f64], i: usize, new: f64) -> f64 {
-        let old = x[i];
-        let before = self.log_density(x);
-        x[i] = new;
-        let after = self.log_density(x);
-        x[i] = old;
-        after - before
+    fn factors_of(&self, i: usize) -> &[u32] {
+        [&[0, 1][..], &[1][..]][i]
+    }
+    fn factor_log_pdf(&self, f: usize, x: &[f64]) -> f64 {
+        match f {
+            0 => Gaussian::new(2.0, 1.0).log_pdf(x[0]),
+            _ => Gaussian::new(x[0], 0.25).log_pdf(x[1]),
+        }
+    }
+    fn unary_log_pdf(&self, _: usize, xi: f64) -> f64 {
+        Gaussian::new(0.0, 100.0).folded().log_pdf(xi)
     }
 }
 

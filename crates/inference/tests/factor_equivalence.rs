@@ -2,7 +2,7 @@
 //! example (x0 + x1 = 10 with x0 observed), the factor-structured site and
 //! the closure site define *the same* log-likelihood, so EP with the same
 //! deterministic seed must produce bit-identical posteriors — the sparse
-//! delta path may skip factors, but never change values.
+//! factor view may skip factors, but never change values.
 
 use bayesperf_inference::{
     EpConfig, EpRunStats, EpSite, ExpectationPropagation, FactorSite, FnSite, Gaussian,
@@ -48,6 +48,19 @@ fn factor_site_model() -> ExpectationPropagation {
     ep
 }
 
+/// The change of the factors adjacent to local `i` when it moves to `new`,
+/// through the factor view: `Σ_row f(x′) − Σ_row f(x)`.
+fn row_delta(site: &dyn EpSite, x: &[f64], i: usize, new: f64) -> f64 {
+    let mut moved = x.to_vec();
+    moved[i] = new;
+    let sum = |y: &[f64]| {
+        site.factors_of(i)
+            .iter()
+            .fold(0.0, |acc, &f| acc + site.factor_log_pdf(f as usize, y))
+    };
+    sum(&moved) - sum(x)
+}
+
 #[test]
 fn same_likelihood_same_delta() {
     let fn_site = FnSite::new(vec![0, 1], |x: &[f64]| {
@@ -64,10 +77,8 @@ fn same_likelihood_same_delta() {
             fn_site.log_likelihood(&x).to_bits(),
             factor_site.log_likelihood(&x).to_bits()
         );
-        let mut xa = x.to_vec();
-        let mut xb = x.to_vec();
-        let da = fn_site.log_likelihood_delta(&mut xa, 1, b + 0.5);
-        let db = factor_site.log_likelihood_delta(&mut xb, 1, b + 0.5);
+        let da = row_delta(&fn_site, &x, 1, b + 0.5);
+        let db = row_delta(&factor_site, &x, 1, b + 0.5);
         assert_eq!(da.to_bits(), db.to_bits(), "delta at ({a}, {b})");
     }
 }
@@ -132,4 +143,39 @@ fn multi_factor_split_matches_monolithic_closure() {
         );
         assert!((ga.var - gb.var).abs() < 1e-6);
     }
+}
+
+/// x0 observed near 3; x0 + x1 ≈ 10, as two factors.
+fn two_factor_site() -> FactorSite {
+    FactorSite::builder(vec![0, 1])
+        .factor(&[0], |x: &[f64]| Gaussian::new(3.0, 0.01).log_pdf(x[0]))
+        .factor(&[0, 1], |x: &[f64]| {
+            Gaussian::new(0.0, 0.01).log_pdf(x[0] + x[1] - 10.0)
+        })
+        .build()
+}
+
+#[test]
+fn row_delta_matches_full_recompute() {
+    let site = two_factor_site();
+    let x = [2.5, 7.1];
+    let delta = row_delta(&site, &x, 1, 6.4);
+    let full = site.log_likelihood(&[2.5, 6.4]) - site.log_likelihood(&x);
+    assert!((delta - full).abs() < 1e-12, "delta {delta} vs {full}");
+}
+
+#[test]
+fn delta_only_visits_adjacent_factors() {
+    // Factor 0 touches only local 0, factor 1 touches both.
+    let site = two_factor_site();
+    assert_eq!(site.factors_of(0), &[0, 1]);
+    assert_eq!(site.factors_of(1), &[1]);
+    // Moving local 1 must not evaluate factor 0: make that observable
+    // with a factor that panics when evaluated.
+    let trap = FactorSite::builder(vec![0, 1])
+        .factor(&[0], |_: &[f64]| -> f64 { panic!("factor 0 must not run") })
+        .factor(&[1], |x: &[f64]| -x[1] * x[1])
+        .build();
+    let d = row_delta(&trap, &[0.0, 1.0], 1, 2.0);
+    assert!((d - (-4.0 + 1.0)).abs() < 1e-12);
 }
