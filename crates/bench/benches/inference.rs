@@ -89,15 +89,6 @@ fn bench_corrector_run(c: &mut Criterion) {
             std::hint::black_box(corrector.correct_run(&run));
         })
     });
-    c.bench_function("corrector_8_windows_independent_4t", |b| {
-        b.iter(|| {
-            let cfg = CorrectorConfig::for_run(&run)
-                .independent_chunks()
-                .with_threads(4);
-            let mut corrector = Corrector::new(&cat, cfg);
-            std::hint::black_box(corrector.correct_run(&run));
-        })
-    });
 }
 
 fn bench_engine_farm(c: &mut Criterion) {

@@ -1,30 +1,22 @@
 //! Batch correction of a recorded PMU run.
 //!
-//! Two execution strategies, selected by [`CorrectorConfig`]:
+//! Chunks run sequentially through [`Corrector::push_chunk`], each
+//! chunk's slice-0 prior seeded from the previous chunk's final-slice
+//! posterior (the paper's temporal coupling). The corrector keeps **one**
+//! [`ChunkEngine`] alive across the whole run: the factor-graph topology,
+//! sweep schedule and all MCMC/analytic scratch survive from window to
+//! window, and each chunk only swaps observations. With
+//! [`CorrectorConfig::warm_start`] (the default) the EP site messages
+//! survive too — the steady-state loop (chunk 2+) performs **zero heap
+//! allocations** at `threads = 1` and converges in 1–2 sweeps with
+//! shrunken MCMC budgets instead of the full cold budget. Disabling
+//! `warm_start` discards the messages per chunk and runs the
+//! paper-faithful full cold budget (the benchmark baseline). A ragged
+//! final chunk goes through [`Corrector::push_tail`]. Parallelism lives
+//! inside a chunk, in the EP engine farm, and never changes results.
 //!
-//! * **chained** (the paper's default): chunks run sequentially through
-//!   [`Corrector::push_chunk`], each chunk's slice-0 prior seeded from the
-//!   previous chunk's final-slice posterior. The corrector keeps **one**
-//!   [`ChunkEngine`] alive across the whole run: the factor-graph
-//!   topology, sweep schedule and all MCMC/analytic scratch survive from
-//!   window to window, and each chunk only swaps observations. With
-//!   [`CorrectorConfig::warm_start`] (the default) the EP site messages
-//!   survive too — the steady-state loop (chunk 2+) performs **zero heap
-//!   allocations** at `threads = 1` and converges in 1–2 sweeps with
-//!   shrunken MCMC budgets instead of the full cold budget. Disabling
-//!   `warm_start` discards the messages per chunk and runs the
-//!   paper-faithful full cold budget (the benchmark baseline). A ragged
-//!   final chunk goes through [`Corrector::push_tail`].
-//! * **independent**: prior chaining disabled, which removes the only
-//!   cross-chunk data dependency — chunks then run concurrently on
-//!   `std::thread::scope` workers, each chunk on its own deterministic
-//!   seed. Each worker still reuses one engine *structurally*
-//!   ([`ChunkEngine::load_cold`] keeps the schedule and buffers but resets
-//!   all statistical state), so results are a pure function of
-//!   `(windows, config)` at any thread count.
-//!
-//! Both paths borrow sample windows as slices end-to-end (no per-window
-//! clone on either the [`Corrector::correct_run`] or
+//! Sample windows are borrowed as slices end-to-end (no per-window clone
+//! on either the [`Corrector::correct_run`] or
 //! [`Corrector::correct_windows`] path).
 
 use crate::error::ShimError;
@@ -42,17 +34,10 @@ pub struct CorrectorConfig {
     pub ep: EpConfig,
     /// RNG seed for the MCMC chains.
     pub seed: u64,
-    /// Chain each chunk's slice-0 prior from the previous chunk's
-    /// posterior (the paper's temporal coupling). Disabling it makes
-    /// chunks independent, unlocking chunk-level parallelism.
-    pub chain_chunks: bool,
-    /// Worker threads: within-chunk EP engine farm workers in chained
-    /// mode, concurrent chunks in independent mode. `1` means fully
-    /// sequential.
+    /// Worker threads of the within-chunk EP engine farm. `1` means fully
+    /// sequential; results are bit-identical at any count.
     pub threads: usize,
-    /// Carry the EP approximation across chained chunks (incremental
-    /// correction). Ignored in independent mode, where statistical state
-    /// never crosses chunks by construction.
+    /// Carry the EP approximation across chunks (incremental correction).
     pub warm_start: bool,
     /// Selective change-point reset threshold: a window (slice) at least
     /// this fraction of whose observations moved by more than `jump_ratio`
@@ -78,7 +63,6 @@ impl CorrectorConfig {
             model,
             ep,
             seed: 0,
-            chain_chunks: true,
             threads: 1,
             warm_start: true,
             jump_frac: 0.45,
@@ -89,12 +73,6 @@ impl CorrectorConfig {
     /// Sets the worker-thread budget.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Disables prior chaining so chunks can be corrected concurrently.
-    pub fn independent_chunks(mut self) -> Self {
-        self.chain_chunks = false;
         self
     }
 
@@ -231,13 +209,13 @@ impl PosteriorSeries {
 /// The corrector owns one persistent [`ChunkEngine`] — built in
 /// [`Corrector::new`] because the factor-graph topology is a pure function
 /// of the catalog — and reuses it across every
-/// [`Corrector::correct_run`]/[`Corrector::correct_windows`] call in
-/// chained mode. Correction therefore takes `&mut self`.
+/// [`Corrector::correct_run`]/[`Corrector::correct_windows`] call.
+/// Correction therefore takes `&mut self`.
 #[derive(Debug)]
 pub struct Corrector<'a> {
     catalog: &'a Catalog,
     config: CorrectorConfig,
-    /// The chained-mode engine (slice count = `config.model.slices`).
+    /// The persistent engine (slice count = `config.model.slices`).
     engine: ChunkEngine,
     /// Chunks pushed through the streaming API since the last reset.
     stream_count: u64,
@@ -270,8 +248,7 @@ impl<'a> Corrector<'a> {
     /// cold (the crashed engine's in-flight messages are discarded — only
     /// the poisoned chunk is lost) but chains off the recovered posterior,
     /// so steady-state accuracy survives the restart. Non-finite entries
-    /// of `posteriors` fall back to the base prior; in unchained mode this
-    /// is a no-op (chunks are independent anyway). Returns how many events
+    /// of `posteriors` fall back to the base prior. Returns how many events
     /// were seeded.
     pub fn resume_from(&mut self, posteriors: &[Gaussian]) -> Result<usize, ShimError> {
         if posteriors.len() != self.engine.n_events() {
@@ -279,9 +256,6 @@ impl<'a> Corrector<'a> {
                 expected: self.engine.n_events(),
                 got: posteriors.len(),
             });
-        }
-        if !self.config.chain_chunks {
-            return Ok(0);
         }
         let seeded = self.engine.set_chain_prior_counts(posteriors);
         self.resume_pending = true;
@@ -307,9 +281,6 @@ impl<'a> Corrector<'a> {
     /// path; after warm-up (chunk 2+) a push performs **zero heap
     /// allocations** at `threads = 1`. Read results back through
     /// [`Corrector::posterior`].
-    ///
-    /// With `chain_chunks` disabled each push is independent (cold, base
-    /// prior), matching the batch independent mode chunk for chunk.
     ///
     /// # Panics
     ///
@@ -337,15 +308,14 @@ impl<'a> Corrector<'a> {
             });
         }
         let c = self.stream_count;
-        let chained = self.config.chain_chunks;
         // A pending resume prior survives the first-chunk clear: the push
         // runs cold (no stale messages) but composes the recovered chain
         // prior, making the restart warm in the statistical sense.
-        if (c == 0 && !self.resume_pending) || !chained {
+        if c == 0 && !self.resume_pending {
             self.engine.clear_chain_prior();
         }
         self.resume_pending = false;
-        if c > 0 && chained && self.config.warm_start {
+        if c > 0 && self.config.warm_start {
             // Warm load with selective change-point resets: slices whose
             // data jumped re-solve from vacuous messages, the rest stay
             // warm.
@@ -362,9 +332,7 @@ impl<'a> Corrector<'a> {
             derive_stream_seed(self.config.seed, c as usize),
             self.config.threads,
         );
-        if chained {
-            self.engine.capture_chain_prior();
-        }
+        self.engine.capture_chain_prior();
         self.stream_count += 1;
         Ok(stats)
     }
@@ -397,7 +365,7 @@ impl<'a> Corrector<'a> {
                 got: windows.len(),
             });
         }
-        let chained = self.config.chain_chunks && (self.stream_count > 0 || self.resume_pending);
+        let chained = self.stream_count > 0 || self.resume_pending;
         let mut tail = ChunkEngine::with_slices(
             self.catalog,
             &self.config.model,
@@ -479,11 +447,7 @@ impl<'a> Corrector<'a> {
         let mut data: Vec<Gaussian> = Vec::with_capacity(windows.len() * ne);
         let mut stats = CorrectionStats::default();
 
-        if self.config.chain_chunks {
-            self.run_chained(windows, &mut data, &mut stats);
-        } else {
-            self.run_independent(windows, &mut data, &mut stats);
-        }
+        self.run_chained(windows, &mut data, &mut stats);
 
         PosteriorSeries {
             n_events: ne,
@@ -553,67 +517,6 @@ impl<'a> Corrector<'a> {
                 Self::push_chunk_posteriors(self.catalog, &post, data);
                 stats.absorb_run(&s, false);
             }
-        }
-    }
-
-    /// Concurrent chunk execution (requires `chain_chunks == false`):
-    /// chunks are data-independent, so workers process disjoint contiguous
-    /// ranges and results are reassembled in chunk order. Each worker
-    /// builds one engine and cold-resets it per chunk (structural reuse:
-    /// schedule and buffers survive, statistical state does not),
-    /// rebuilding it only for a ragged tail's slice count, so per-chunk
-    /// seeds make the output identical to the sequential un-chained run at
-    /// any thread count.
-    fn run_independent(
-        &mut self,
-        windows: &[&[Sample]],
-        data: &mut Vec<Gaussian>,
-        stats: &mut CorrectionStats,
-    ) {
-        let k = self.config.model.slices.max(1);
-        let chunks: Vec<&[&[Sample]]> = windows.chunks(k).collect();
-        let workers = self.config.threads.clamp(1, chunks.len().max(1));
-        let per = chunks.len().div_ceil(workers).max(1);
-        // Threads left over when there are fewer chunks than workers go to
-        // each chunk's inner EP farm (bit-identical at any count, so this
-        // only affects speed).
-        let inner_threads = (self.config.threads / workers).max(1);
-        let mut results: Vec<Option<(ChunkPosterior, EpRunStats)>> = vec![None; chunks.len()];
-        let catalog = self.catalog;
-        let config = &self.config;
-        std::thread::scope(|scope| {
-            for (w, (chunk_range, out_range)) in
-                chunks.chunks(per).zip(results.chunks_mut(per)).enumerate()
-            {
-                let base = w * per;
-                scope.spawn(move || {
-                    // One engine per worker, cold-reset per chunk.
-                    let mut engine: Option<ChunkEngine> = None;
-                    for (i, (chunk, slot)) in
-                        chunk_range.iter().zip(out_range.iter_mut()).enumerate()
-                    {
-                        if !matches!(&engine, Some(e) if e.slices() == chunk.len()) {
-                            engine = Some(ChunkEngine::with_slices(
-                                catalog,
-                                &config.model,
-                                config.ep,
-                                chunk.len(),
-                            ));
-                        }
-                        let eng = engine.as_mut().expect("engine sized just above");
-                        let seed = derive_stream_seed(config.seed, base + i);
-                        eng.clear_chain_prior();
-                        eng.load_cold(chunk);
-                        let s = eng.run_farm(seed, inner_threads);
-                        *slot = Some((eng.to_posterior(s.converged), s));
-                    }
-                });
-            }
-        });
-        for result in results {
-            let (post, s) = result.expect("every chunk processed");
-            Self::push_chunk_posteriors(self.catalog, &post, data);
-            stats.absorb_run(&s, false);
         }
     }
 }
@@ -728,37 +631,6 @@ mod tests {
         assert!(series.convergence_rate >= 0.0 && series.convergence_rate <= 1.0);
         assert!(series.stats.chunks > 0);
         assert!(series.stats.mcmc_site_updates > 0);
-    }
-
-    #[test]
-    fn independent_chunks_identical_at_any_thread_count() {
-        let cat = Catalog::new(Arch::X86SkyLake);
-        let prog = kmeans();
-        let mut truth = prog.instantiate(&cat, 0);
-        let pmu = Pmu::new(&cat, PmuConfig::for_catalog(&cat));
-        let events = vec![
-            cat.require(Semantic::L1dMisses),
-            cat.require(Semantic::LlcMisses),
-        ];
-        let schedule = pack_round_robin(&cat, &events).unwrap();
-        // 14 windows = two full chunks of 6 plus a ragged 2-window tail, so
-        // each worker's engine is rebuilt for the tail's slice count.
-        let run = pmu.run_multiplexed(&mut truth, &schedule, 14);
-
-        let series_for = |threads: usize| {
-            let cfg = CorrectorConfig::for_run(&run)
-                .independent_chunks()
-                .with_threads(threads);
-            Corrector::new(&cat, cfg).correct_run(&run)
-        };
-        let a = series_for(1);
-        let b = series_for(4);
-        assert_eq!(a.windows(), 14);
-        assert_eq!(a.windows(), b.windows());
-        let ev = cat.require(Semantic::L1dMisses);
-        assert_eq!(a.mle_series(ev), b.mle_series(ev), "bit-identical MLE");
-        assert_eq!(a.sd_series(ev), b.sd_series(ev), "bit-identical SD");
-        assert_eq!(a.convergence_rate, b.convergence_rate);
     }
 
     #[test]
@@ -899,15 +771,12 @@ mod tests {
             assert!(g.mean.is_finite() && g.var.is_finite() && g.var > 0.0);
         }
 
-        // Wrong-length snapshots are a typed error; unchained correctors
-        // ignore the resume (chunks are independent anyway).
+        // Wrong-length snapshots are a typed error.
         let mut c = Corrector::new(&cat, cfg.clone());
         assert!(matches!(
             c.resume_from(&published[..1]),
             Err(ShimError::CatalogMismatch { .. })
         ));
-        let mut ind = Corrector::new(&cat, cfg.independent_chunks());
-        assert_eq!(ind.resume_from(&published).unwrap(), 0);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! **once**, and per window merely swaps the observation slots and either
 //! [`ChunkEngine::load_warm`]s (keep EP messages — the incremental
 //! corrector path) or [`ChunkEngine::load_cold`]s (reset messages — the
-//! cold and independent-chunks paths), then runs EP on the engine farm
+//! cold path), then runs EP on the engine farm
 //! ([`ChunkEngine::run_farm`]). Only a ragged tail chunk, shorter than
 //! `slices`, needs an engine of its own
 //! ([`ChunkEngine::with_slices`]).

@@ -52,7 +52,7 @@ fn fingerprint(threads: usize) -> u64 {
     let run = pmu.run_multiplexed(&mut truth, &schedule, WINDOWS);
 
     let config = CorrectorConfig::for_run(&run).with_threads(threads);
-    assert!(config.chain_chunks && config.warm_start);
+    assert!(config.warm_start);
     let series = Corrector::new(&cat, config).correct_run(&run);
     assert_eq!(series.windows(), WINDOWS);
 

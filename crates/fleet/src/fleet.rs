@@ -1,5 +1,6 @@
-//! The fleet service: sharded monitors, a lock-free ingest router, a
-//! background fusion aggregator, and fleet-scoped read sessions.
+//! The in-process fleet: sharded monitors, a lock-free ingest router, an
+//! aggregator thread pumping the scrape plane, and fleet-scoped read
+//! sessions.
 //!
 //! ```text
 //!  producers                    Fleet                        readers
@@ -7,14 +8,17 @@
 //!  push_sample(shard, s) ─▶ router (membership      FleetSession::read
 //!                           snapshot cell, no        FleetSession::read_group
 //!                           cross-shard locks)       FleetSession::read_derived
-//!                              │                     FleetSession::subscribe
-//!                              ▼                            ▲
-//!                    shard 0 │ shard 1 │ … │ shard N        │ lock-free
-//!                    Monitor │ Monitor │   │ Monitor        │ fused cell
+//!                              │                            ▲
+//!                              ▼                            │ lock-free
+//!                    shard 0 │ shard 1 │ … │ shard N        │ fused cell
+//!                    Monitor │ Monitor │   │ Monitor        │
+//!                       │        │            │             │
+//!                   LocalTransport (ScrapeResponder         │
+//!                   + liveness probe), one per shard        │
 //!                       │        │            │             │
 //!                       ▼        ▼            ▼             │
-//!                    aggregator thread: scrape snapshots ───┘
-//!                    → precision-weighted fusion → publish
+//!                    FleetScraper::poll_round: health → fuse┘
+//!                    (pumped by the aggregator timer thread)
 //! ```
 //!
 //! Each shard is a full [`Monitor`] (its own sample ring and inference
@@ -25,61 +29,65 @@
 //! cell, so adding or draining machines never stalls producers on other
 //! shards.
 //!
-//! The aggregator thread periodically scrapes every live shard's
-//! posterior snapshot ([`Session::snapshot_into`]), fuses them with the
-//! precision-weighted product ([`crate::fuse`]) and publishes a
-//! [`FleetSnapshot`] through a second snapshot cell — fleet-level reads
-//! are therefore exactly as wait-free as single-session reads, no matter
-//! how many shards contribute.
+//! Aggregation is the networked scrape plane's, not a second copy of it:
+//! every shard is an endpoint of one [`FleetScraper`], reached through an
+//! in-process [`ShardTransport`] that serves the shard's [`Session`] with
+//! the same [`ScrapeResponder`] the socket servers run. A
+//! [`poll_round`](FleetScraper::poll_round) therefore scrapes, ages
+//! health, fuses and publishes a [`FleetSession`]'s [`FleetSnapshot`]
+//! exactly as it does for remote shards — fleet-level reads stay as
+//! wait-free as single-session reads at any shard count.
 //!
-//! The aggregator thread is **supervised** the same way each shard's
-//! inference thread is: its loop runs under `catch_unwind`, a crash
-//! recovers the fused cell's writer and restarts the scrape loop (the
-//! generation counter continues from the last published snapshot), and a
-//! crash loop gives up after a bounded number of attempts. Local shard
-//! monitors are watched through the same Healthy → Degraded → Stale →
-//! Dead state machine ([`crate::health`]) a dead *remote* shard goes
-//! through: every scrape pass probes each monitor's heartbeat and
-//! [`ServiceState`], so a hung or crashed local inference thread ages
-//! out of fusion instead of pinning its last posterior in the fleet
-//! forever.
+//! The transport adds the one thing a local shard can offer that a remote
+//! one cannot: a liveness probe. A monitor that is restarting, or whose
+//! heartbeat is frozen while it is not idle and its snapshot stamp has not
+//! moved, answers the round with [`ShimError::ScrapeTimeout`], so a hung
+//! or crashed inference thread walks the same Healthy → Degraded → Stale
+//! → Dead machine ([`crate::health`]) a dead remote shard does instead of
+//! pinning its last posterior in the fleet forever. A permanently failed
+//! monitor needs no special case: its session reports
+//! [`ShimError::ServiceDown`], which the responder surfaces as a dropped
+//! link.
+//!
+//! The aggregator thread is a timer: it pumps one round per scrape
+//! interval (backing off exponentially while rounds publish nothing) and
+//! one per [`Fleet::refresh`] or membership change. Each round runs under
+//! `catch_unwind`, so a panic is contained and counted
+//! (`fleet.agg_restarts`) and the next round carries on from the intact
+//! scraper; a crash loop gives up after a bounded number of attempts.
 
-// The ISSUE-7 robustness audit: this file's non-test code must report
-// failures as typed errors, never panic on them.
+// This file's non-test code must report failures as typed errors, never
+// panic on them.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::fuse::{Aggregator, FleetSnapshot, ShardStatus};
-use crate::health::{FailureKind, HealthPolicy, HealthState, ShardHealth, ShardHealthView};
-use crate::net::{state_idx, ScrapeMetrics, ScrapeTotals};
+use crate::fuse::FleetSnapshot;
+use crate::health::HealthPolicy;
+use crate::net::{
+    FleetScraper, ScrapeConfig, ScrapeMetrics, ScrapeResponder, ScrapeTotals, ShardTransport,
+};
 use crate::topology::{ShardId, ShardLabel};
+use crate::wire;
 use bayesperf_core::corrector::CorrectorConfig;
 use bayesperf_core::snapshot::{snapshot_cell, SnapshotReader, SnapshotWriter};
 use bayesperf_core::{
-    derived_reading, Monitor, Reading, Selection, ServiceState, Session, ShimError, SnapshotView,
+    derived_reading, Monitor, Reading, Selection, ServiceState, Session, ShimError,
 };
 use bayesperf_events::{Catalog, EventId};
-use bayesperf_inference::Gaussian;
-use bayesperf_obs::{
-    merge_metrics, Counter, FlightEvent, MetricSnapshot, SpanRecorder, Stage, Telemetry,
-};
+use bayesperf_obs::{merge_metrics, Counter, FlightEvent, MetricSnapshot, Telemetry};
 use bayesperf_simcpu::Sample;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
-    TrySendError,
-};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Consecutive no-progress aggregator crashes tolerated before the
-/// scrape plane gives up (subsequent [`Fleet::refresh`] calls return
+/// Consecutive crashed rounds tolerated before the aggregator thread
+/// gives up (subsequent [`Fleet::refresh`] calls return
 /// [`ShimError::SessionClosed`]).
 const AGG_MAX_CONSECUTIVE_RESTARTS: u32 = 8;
 
-/// Backoff between aggregator restarts (flat — the aggregator holds no
-/// per-chunk state worth an exponential schedule).
+/// Pause after a crashed round (flat — the scraper holds no per-round
+/// state worth an exponential schedule).
 const AGG_RESTART_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Fleet construction parameters.
@@ -89,12 +97,14 @@ pub struct FleetConfig {
     pub corrector: CorrectorConfig,
     /// Per-shard kernel↔shim ring capacity.
     pub ring_capacity: usize,
-    /// How often the aggregator re-scrapes shard snapshots when idle
-    /// (scrapes also happen on every [`Fleet::sync`]/[`Fleet::flush`]).
+    /// How often the aggregator thread pumps a scrape round while rounds
+    /// keep publishing; idle rounds back off from here (rounds also run
+    /// on every [`Fleet::sync`]/[`Fleet::flush`]/[`Fleet::refresh`] and
+    /// membership change).
     pub scrape_interval: Duration,
-    /// Staleness thresholds for the local liveness watchdog: a hung or
+    /// Staleness thresholds for the scraper's health machine: a hung or
     /// crashed shard monitor ages through this policy's Healthy →
-    /// Degraded → Stale → Dead machine, one round per aggregation pass.
+    /// Degraded → Stale → Dead machine, one step per failed round.
     pub health: HealthPolicy,
 }
 
@@ -109,10 +119,23 @@ impl FleetConfig {
             health: HealthPolicy::default(),
         }
     }
+
+    /// The in-process scraper's settings. No retries and no backoff:
+    /// both protect remote links, and in-process a backoff would keep a
+    /// Dead shard from recovering on its first good round.
+    fn scrape_config(&self) -> ScrapeConfig {
+        ScrapeConfig {
+            retries: 0,
+            backoff_cap_rounds: 0,
+            concurrency: 1,
+            health: self.health,
+            ..ScrapeConfig::default()
+        }
+    }
 }
 
-/// One live shard: a monitor plus the always-all-events session the
-/// aggregator scrapes through.
+/// One live shard: a monitor plus the always-all-events session its
+/// endpoint serves.
 struct ShardMember {
     id: ShardId,
     label: ShardLabel,
@@ -120,32 +143,16 @@ struct ShardMember {
     session: Session,
 }
 
-/// The membership view the router and aggregator read: shards in
-/// insertion order. Published through a snapshot cell so lookups are
-/// lock-free and churn never blocks producers.
+/// The membership view the router reads: shards in insertion order.
+/// Published through a snapshot cell so lookups are lock-free and churn
+/// never blocks producers.
 type Membership = Vec<Arc<ShardMember>>;
-
-/// Per-generation update streamed to [`FleetSession::subscribe`]rs.
-#[derive(Debug, Clone)]
-pub struct FleetUpdate {
-    /// Aggregation pass that produced this update.
-    pub generation: u64,
-    /// Generations this subscriber lost immediately before this update
-    /// (bounded-queue overflow), `0` when none.
-    pub gap: u64,
-    /// The fleet frontier: most advanced corrected window of any shard.
-    pub max_window: u32,
-    /// Contributing shards.
-    pub shards: usize,
-    /// Fused posteriors of the subscribing session's selected events.
-    pub posteriors: Vec<(EventId, Gaussian)>,
-}
 
 /// A consistent fleet-level multi-event read (all readings from one fused
 /// snapshot).
 #[derive(Debug, Clone)]
 pub struct FleetGroupReading {
-    /// Aggregation pass of the snapshot.
+    /// Generation of the snapshot (scrape rounds that published).
     pub generation: u64,
     /// Most advanced corrected window of any contributing shard.
     pub max_window: u32,
@@ -155,66 +162,100 @@ pub struct FleetGroupReading {
     pub readings: Vec<(EventId, Reading)>,
 }
 
-/// Per-subscriber queue bound (same rationale as the per-monitor
-/// subscriber bound: lossy beyond this backlog, gap reported).
-const FLEET_QUEUE_CAP: usize = 1024;
-
-struct FleetSubscriber {
-    tx: SyncSender<FleetUpdate>,
-    selection: Arc<Selection>,
-    last_enqueued: Option<u64>,
-}
-
-/// State shared between the [`Fleet`], its sessions/routers and the
-/// aggregator thread.
+/// What every [`FleetSession`] reads: the scraper's fused cell, its
+/// telemetry bundle and live scrape counters, and its cached fleet-wide
+/// metric dump.
 struct FleetShared {
     catalog: Arc<Catalog>,
-    members: SnapshotReader<Membership>,
     fused: SnapshotReader<FleetSnapshot>,
-    subscribers: Mutex<Vec<FleetSubscriber>>,
     closed: AtomicBool,
-    /// The fleet's telemetry plane (registry + spans + flight recorder).
-    /// Scraper-backed sessions share the scraper's bundle instead.
     tele: Telemetry,
-    /// Crash restarts of the aggregator thread, as the registry counter
-    /// `fleet.agg_restarts` (monotonic).
-    agg_restarts: Counter,
-    /// Live scrape-plane counter handles when this shared state backs a
-    /// networked [`FleetScraper`](crate::FleetScraper) session; `None`
-    /// for in-process fleets (no scrape plane — totals read as zero).
-    scrape_metrics: Option<ScrapeMetrics>,
-    /// Last wire-scraped fleet-wide metric dump (scraper-backed
-    /// sessions); empty for in-process fleets, which merge the live
-    /// per-shard registries instead.
+    metrics: ScrapeMetrics,
     scraped: Arc<Mutex<Vec<MetricSnapshot>>>,
 }
 
-impl FleetShared {
-    /// Resolves a shard id through the membership cell (lock-free).
-    fn member(&self, shard: ShardId) -> Result<Arc<ShardMember>, ShimError> {
-        if self.closed.load(Relaxed) {
-            return Err(ShimError::SessionClosed);
+/// Locks the shared scraper, recovering it from a round that panicked
+/// while holding it (the scraper's state stays consistent per endpoint,
+/// and the next round rebuilds the fusion from scratch).
+fn lock(scraper: &Mutex<FleetScraper>) -> MutexGuard<'_, FleetScraper> {
+    scraper.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The in-process link to one shard: the shard's session served by a
+/// [`ScrapeResponder`] behind a liveness probe of its monitor. The probe
+/// keeps the heartbeat and snapshot stamp it saw last round, so a frozen
+/// heartbeat on a non-idle service reads as a stall — unless the stamp
+/// moved, which proves the service published since.
+struct LocalTransport {
+    member: Arc<ShardMember>,
+    responder: ScrapeResponder<Session>,
+    last_beats: u64,
+    last_stamp: Option<(u32, u64)>,
+}
+
+impl LocalTransport {
+    fn new(member: Arc<ShardMember>) -> LocalTransport {
+        let responder =
+            ScrapeResponder::new(member.id, member.label.clone(), member.session.clone());
+        LocalTransport {
+            member,
+            responder,
+            last_beats: 0,
+            last_stamp: None,
         }
-        let guard = self.members.read().ok_or(ShimError::SessionClosed)?;
-        guard
-            .iter()
-            .find(|m| m.id == shard)
-            .cloned()
-            .ok_or(ShimError::UnknownShard { shard: shard.raw() })
+    }
+
+    /// `Err(ScrapeTimeout)` when the service cannot be answering for its
+    /// snapshot this round: it is restarting, or its heartbeat is frozen
+    /// while it is not idle and its stamp has not moved. The heartbeat
+    /// alone is racy — a long tail correction holds `idle` false with
+    /// `beats` frozen, and a refresh forced right after a flush ack can
+    /// probe the thread before it parks — so a moved stamp overrides it.
+    fn probe(&mut self) -> Result<(), ShimError> {
+        let (beats, idle) = self.member.monitor.heartbeat();
+        let stamp = self.member.session.snapshot_stamp().ok();
+        let advanced = stamp.is_some() && stamp != self.last_stamp;
+        let live = match self.member.monitor.service_state() {
+            ServiceState::Running => idle || beats != self.last_beats || advanced,
+            // A failed service answers for itself: its session reports
+            // `ServiceDown`, which the responder turns into a dropped link.
+            ServiceState::Failed { .. } => true,
+            // Restarting (and any future state): the snapshot is a cached
+            // copy this round.
+            _ => false,
+        };
+        self.last_beats = beats;
+        if stamp.is_some() {
+            self.last_stamp = stamp;
+        }
+        if live {
+            Ok(())
+        } else {
+            Err(ShimError::ScrapeTimeout)
+        }
+    }
+}
+
+impl ShardTransport for LocalTransport {
+    fn exchange(&mut self, request: &[u8], _deadline: Duration) -> Result<Vec<u8>, ShimError> {
+        // Only scrape rounds probe: a telemetry pull between rounds must
+        // not move the watchdog's baseline.
+        if wire::peek_kind(request)? == wire::KIND_SCRAPE_REQ {
+            self.probe()?;
+        }
+        self.responder.exchange(request)
     }
 }
 
 /// Control messages to the aggregator thread.
 enum AggControl {
-    /// Scrape + fuse + publish now, then ack (the deterministic barrier
-    /// behind [`Fleet::sync`]/[`Fleet::flush`]).
+    /// Run a round and pull the shards' metric dumps now, then ack (the
+    /// deterministic barrier behind [`Fleet::sync`]/[`Fleet::flush`]).
     Refresh(Sender<()>),
-    /// Membership churned: wake immediately and drop any idle backoff
-    /// (the next scrape must observe the new membership promptly even if
-    /// the fleet was quiescent).
+    /// Membership churned: run a round now and drop any idle backoff.
     Poke,
-    /// Fault-injection test hook: the aggregator panics when it dequeues
-    /// this, exercising the supervisor's crash-containment path.
+    /// Fault-injection test hook: the next round panics, exercising the
+    /// crash-containment path.
     Panic,
     /// Exit the aggregator loop.
     Shutdown,
@@ -223,17 +264,20 @@ enum AggControl {
 /// A fleet of sharded BayesPerf monitors with fused fleet-level reads.
 ///
 /// One [`Monitor`] per shard (simulated machine/socket), a lock-free
-/// sample router, and a background aggregator fusing per-shard posteriors
-/// into a fleet posterior — see the module docs for the data flow.
-/// Dropping (or [`Fleet::close`]-ing) the fleet drains every shard and
-/// stops the aggregator.
+/// sample router, and an aggregator thread pumping a [`FleetScraper`]
+/// over every shard — see the module docs for the data flow. Dropping
+/// (or [`Fleet::close`]-ing) the fleet stops the aggregator and drains
+/// every shard.
 pub struct Fleet {
     shared: Arc<FleetShared>,
+    router: FleetRouter,
     members_writer: SnapshotWriter<Membership>,
     /// Writer-side copy of the membership (the cell holds clones).
     live: Vec<Arc<ShardMember>>,
     next_id: u32,
     config: FleetConfig,
+    scraper: Arc<Mutex<FleetScraper>>,
+    agg_restarts: Counter,
     control: Sender<AggControl>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -248,48 +292,42 @@ impl std::fmt::Debug for Fleet {
 }
 
 impl Fleet {
-    /// Creates an empty fleet over `catalog` and starts the (supervised)
-    /// aggregator thread. Add machines with [`Fleet::add_shard`].
+    /// Creates an empty fleet over `catalog` and starts the aggregator
+    /// thread. Add machines with [`Fleet::add_shard`].
     ///
     /// Returns [`ShimError::SpawnFailed`] if the OS refuses the thread.
     pub fn new(catalog: &Catalog, config: FleetConfig) -> Result<Fleet, ShimError> {
-        let catalog = Arc::new(catalog.clone());
-        let (mut members_writer, members_reader) = snapshot_cell::<Membership>();
+        let scraper = FleetScraper::new(catalog.len(), config.scrape_config());
+        let shared = scraper.session(catalog).shared;
+        let agg_restarts = shared.tele.registry().counter("fleet.agg_restarts");
+        let (mut members_writer, members) = snapshot_cell::<Membership>();
         members_writer.publish(Vec::new());
-        let (fused_writer, fused_reader) = snapshot_cell::<FleetSnapshot>();
+        let scraper = Arc::new(Mutex::new(scraper));
         let (control, control_rx) = channel();
-        let tele = Telemetry::new();
-        let agg_restarts = tele.registry().counter("fleet.agg_restarts");
-        let shared = Arc::new(FleetShared {
-            catalog: catalog.clone(),
-            members: members_reader,
-            fused: fused_reader,
-            subscribers: Mutex::new(Vec::new()),
-            closed: AtomicBool::new(false),
-            tele,
-            agg_restarts,
-            scrape_metrics: None,
-            scraped: Arc::new(Mutex::new(Vec::new())),
-        });
         let handle = {
-            let shared = shared.clone();
+            let scraper = scraper.clone();
+            let restarts = agg_restarts.clone();
+            let tele = shared.tele.clone();
             let interval = config.scrape_interval;
-            let health = config.health;
             std::thread::Builder::new()
                 .name("bayesperf-fleet-agg".into())
-                .spawn(move || {
-                    supervise_aggregator(shared, fused_writer, interval, health, control_rx)
-                })
+                .spawn(move || run_aggregator(&scraper, &restarts, &tele, interval, &control_rx))
                 .map_err(|_| ShimError::SpawnFailed {
                     what: "fleet aggregator",
                 })?
         };
         Ok(Fleet {
+            router: FleetRouter {
+                shared: shared.clone(),
+                members,
+            },
             shared,
             members_writer,
             live: Vec::new(),
             next_id: 0,
             config,
+            scraper,
+            agg_restarts,
             control,
             handle: Some(handle),
         })
@@ -301,8 +339,9 @@ impl Fleet {
     }
 
     /// Adds a shard: spawns a dedicated [`Monitor`] (ring + supervised
-    /// inference thread) for the labelled machine/socket and publishes
-    /// the new membership. Ids are never reused across churn.
+    /// inference thread) for the labelled machine/socket, registers it as
+    /// a scraper endpoint and publishes the new membership. Ids are never
+    /// reused across churn.
     ///
     /// Returns [`ShimError::SpawnFailed`] if the OS refuses the shard's
     /// inference thread (the fleet itself stays usable).
@@ -315,12 +354,14 @@ impl Fleet {
             self.config.ring_capacity,
         )?;
         let session = monitor.session().open()?;
-        self.live.push(Arc::new(ShardMember {
+        let member = Arc::new(ShardMember {
             id,
-            label,
+            label: label.clone(),
             monitor,
             session,
-        }));
+        });
+        lock(&self.scraper).add_endpoint(id, label, Box::new(LocalTransport::new(member.clone())));
+        self.live.push(member);
         self.members_writer.publish(self.live.clone());
         // Wake the aggregator out of any idle backoff: the new shard
         // must appear in the next fused snapshot promptly.
@@ -329,8 +370,9 @@ impl Fleet {
     }
 
     /// Removes a shard: unpublishes it from the membership (in-flight
-    /// routed pushes finish against the old view) and closes its monitor.
-    /// Its contribution disappears from the next fused snapshot.
+    /// routed pushes finish against the old view), drops its endpoint and
+    /// closes its monitor. Its contribution disappears from the next
+    /// fused snapshot.
     pub fn remove_shard(&mut self, shard: ShardId) -> Result<(), ShimError> {
         let i = self
             .live
@@ -340,13 +382,12 @@ impl Fleet {
         self.live.remove(i);
         // Publish twice: the cell double-buffers, so the first publish
         // leaves the previous membership (holding the removed shard's
-        // Arc) in the spare slot; the second overwrites it, making the
-        // monitor shutdown deterministic rather than deferred to the
-        // next churn event.
+        // Arc) in the spare slot; the second overwrites it. With the
+        // endpoint gone too, the monitor shuts down here rather than at
+        // the next churn event.
         self.members_writer.publish(self.live.clone());
         self.members_writer.publish(self.live.clone());
-        // Wake the aggregator: the removed shard's contribution must
-        // leave the fused snapshot without waiting out an idle backoff.
+        lock(&self.scraper).remove_endpoint(shard)?;
         let _ = self.control.send(AggControl::Poke);
         Ok(())
     }
@@ -358,9 +399,7 @@ impl Fleet {
 
     /// A cloneable, `Send + Sync` ingest handle for producer threads.
     pub fn router(&self) -> FleetRouter {
-        FleetRouter {
-            shared: self.shared.clone(),
-        }
+        self.router.clone()
     }
 
     /// Routes one kernel sample to its shard's ring. Lock-free resolve
@@ -368,12 +407,12 @@ impl Fleet {
     /// different shards never contend. Samples must stay window-ordered
     /// *per shard* (see [`Monitor::push_sample`]).
     pub fn push_sample(&self, shard: ShardId, sample: Sample) -> Result<(), ShimError> {
-        self.shared.member(shard)?.monitor.push_sample(sample)
+        self.router.push_sample(shard, sample)
     }
 
     /// A direct read session on one shard (per-machine drill-down).
     pub fn shard_session(&self, shard: ShardId) -> Result<Session, ShimError> {
-        Ok(self.shared.member(shard)?.session.clone())
+        Ok(self.router.member(shard)?.session.clone())
     }
 
     /// Runs `f` against one shard's local [`Monitor`] — supervision
@@ -385,12 +424,13 @@ impl Fleet {
         shard: ShardId,
         f: impl FnOnce(&Monitor) -> R,
     ) -> Result<R, ShimError> {
-        Ok(f(&self.shared.member(shard)?.monitor))
+        Ok(f(&self.router.member(shard)?.monitor))
     }
 
     /// Blocks until every shard has ingested and corrected everything
-    /// pushed before this call, then re-fuses and publishes the fleet
-    /// snapshot — the deterministic fleet-wide barrier.
+    /// pushed before this call, then runs a scrape round ([`Fleet::refresh`])
+    /// — the deterministic fleet-wide barrier: the fused snapshot covers
+    /// every shard's progress when it returns.
     pub fn sync(&self) -> Result<(), ShimError> {
         for m in &self.live {
             m.monitor.sync()?;
@@ -398,8 +438,8 @@ impl Fleet {
         self.refresh()
     }
 
-    /// Flushes every shard's ragged tail (partial final chunk), then
-    /// re-fuses and publishes.
+    /// Flushes every shard's ragged tail (partial final chunk), then runs
+    /// a scrape round ([`Fleet::refresh`]).
     pub fn flush(&self) -> Result<(), ShimError> {
         for m in &self.live {
             m.monitor.flush()?;
@@ -407,7 +447,8 @@ impl Fleet {
         self.refresh()
     }
 
-    /// Forces an aggregation pass now and blocks until it is published.
+    /// Runs one scrape round now and blocks until it is done, then pulls
+    /// every shard's metric dump for [`FleetSession::fleet_metrics`].
     pub fn refresh(&self) -> Result<(), ShimError> {
         let (tx, rx) = channel();
         self.control
@@ -431,53 +472,50 @@ impl Fleet {
         read_snapshot(&self.shared)
     }
 
-    /// Crash restarts the aggregator supervisor has performed (served
-    /// from the registry counter `fleet.agg_restarts`).
+    /// Crashed rounds the aggregator thread has contained (served from
+    /// the registry counter `fleet.agg_restarts`).
     pub fn agg_restarts(&self) -> u64 {
-        self.shared.agg_restarts.get()
+        self.agg_restarts.get()
     }
 
-    /// The fleet's telemetry plane: the `fleet.*` / `health.*` metric
-    /// namespace, the aggregator's fuse span ring, and the flight
-    /// recorder logging aggregator restarts and local-shard health
-    /// transitions. Per-shard service telemetry lives on each shard's
-    /// [`Monitor`] (reach it via [`Fleet::with_shard_monitor`]).
+    /// The fleet's telemetry plane — the scraper's: the `scrape.*` /
+    /// `health.*` / `fleet.*` metric namespace, the scrape and fuse span
+    /// rings, and the flight recorder logging aggregator restarts and
+    /// shard health transitions. Per-shard service telemetry lives on
+    /// each shard's [`Monitor`] (reach it via
+    /// [`Fleet::with_shard_monitor`], or merged through
+    /// [`FleetSession::fleet_metrics`]).
     pub fn telemetry(&self) -> &Telemetry {
         &self.shared.tele
     }
 
-    /// Fault-injection test hook: makes the aggregator thread panic on
-    /// its next control dequeue, exercising the supervisor's
-    /// crash-containment path. Observe recovery via
-    /// [`Fleet::agg_restarts`].
+    /// Fault-injection test hook: makes the aggregator thread's next
+    /// round panic, exercising the crash-containment path. Observe
+    /// recovery via [`Fleet::agg_restarts`].
     pub fn inject_agg_panic(&self) -> Result<(), ShimError> {
         self.control
             .send(AggControl::Panic)
             .map_err(|_| ShimError::SessionClosed)
     }
 
-    /// Drains every shard, stops their monitors and the aggregator.
+    /// Stops the aggregator, drains every shard and stops their monitors.
     /// Subsequent fleet reads and pushes return
     /// [`ShimError::SessionClosed`]. Idempotent; also runs on drop.
     pub fn close(&mut self) {
         let Some(handle) = self.handle.take() else {
             return;
         };
-        // Dropping the members closes each monitor (flushing its tail).
-        self.live.clear();
-        self.members_writer.publish(Vec::new());
-        self.members_writer.publish(Vec::new());
         let _ = self.control.send(AggControl::Shutdown);
         let _ = handle.join();
         self.shared.closed.store(true, Relaxed);
-        // Dropping the senders ends subscriber iterators; `subscribe`
-        // re-checks `closed` under this lock, so no late registration
-        // survives the clear.
-        self.shared
-            .subscribers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        // Dropping the endpoints and members closes each monitor
+        // (flushing its tail).
+        let mut scraper = lock(&self.scraper);
+        for m in self.live.drain(..) {
+            let _ = scraper.remove_endpoint(m.id);
+        }
+        self.members_writer.publish(Vec::new());
+        self.members_writer.publish(Vec::new());
     }
 }
 
@@ -487,11 +525,98 @@ impl Drop for Fleet {
     }
 }
 
+/// The aggregator thread: a timer pumping the scraper. It runs a round
+/// per control message and, between messages, one per scrape interval —
+/// doubling the wait (up to 64×) for each consecutive round that published
+/// nothing, so an idle fleet parks instead of polling at full rate. Each
+/// round runs under `catch_unwind`: a panic is counted and logged, and the
+/// next round proceeds from the intact scraper; a crash loop (more than
+/// [`AGG_MAX_CONSECUTIVE_RESTARTS`] crashed rounds in a row) ends the
+/// thread, and with it every later [`Fleet::refresh`].
+fn run_aggregator(
+    scraper: &Mutex<FleetScraper>,
+    restarts: &Counter,
+    tele: &Telemetry,
+    interval: Duration,
+    control: &Receiver<AggControl>,
+) {
+    let mut idle_streak = 0u32;
+    let mut consecutive = 0u32;
+    loop {
+        let msg = match control.recv_timeout(idle_backoff_interval(interval, idle_streak)) {
+            Ok(AggControl::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
+            Ok(msg) => Some(msg),
+            Err(RecvTimeoutError::Timeout) => None,
+        };
+        let woken = msg.is_some();
+        let round = catch_unwind(AssertUnwindSafe(|| match msg {
+            Some(AggControl::Panic) => panic!("injected aggregator panic (test hook)"),
+            Some(AggControl::Refresh(ack)) => {
+                let mut scraper = lock(scraper);
+                let report = scraper.poll_round();
+                scraper.poll_telemetry();
+                let _ = ack.send(());
+                report
+            }
+            _ => lock(scraper).poll_round(),
+        }));
+        match round {
+            Ok(report) => {
+                consecutive = 0;
+                idle_streak = if woken || report.published {
+                    0
+                } else {
+                    idle_streak.saturating_add(1)
+                };
+            }
+            Err(payload) => {
+                restarts.incr();
+                tele.flight().record(FlightEvent::AggRestart {
+                    restarts: restarts.get(),
+                    cause: panic_cause(payload),
+                });
+                consecutive += 1;
+                if consecutive > AGG_MAX_CONSECUTIVE_RESTARTS {
+                    return;
+                }
+                std::thread::sleep(AGG_RESTART_BACKOFF);
+            }
+        }
+    }
+}
+
+/// Widest idle multiplier: an idle fleet's aggregator decays to polling
+/// at `interval × 2⁶ = 64×` — slow enough to stop burning a core on
+/// stamp pre-checks, bounded so a fleet that resumes without churn is
+/// still noticed promptly. Churn wakes it immediately via
+/// [`AggControl::Poke`].
+const IDLE_BACKOFF_MAX_SHIFT: u32 = 6;
+
+/// The aggregator's wait before its next unsolicited round, after
+/// `idle_streak` consecutive rounds that published nothing:
+/// `interval × 2^min(streak, 6)`. Pure, so the schedule is testable
+/// without a thread.
+fn idle_backoff_interval(interval: Duration, idle_streak: u32) -> Duration {
+    interval.saturating_mul(1 << idle_streak.min(IDLE_BACKOFF_MAX_SHIFT))
+}
+
+/// Best-effort panic-payload rendering for flight-recorder causes.
+fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// Cloneable producer handle: routes samples to shards through the
 /// membership cell without holding any fleet-wide lock.
 #[derive(Clone)]
 pub struct FleetRouter {
     shared: Arc<FleetShared>,
+    members: SnapshotReader<Membership>,
 }
 
 impl std::fmt::Debug for FleetRouter {
@@ -503,7 +628,20 @@ impl std::fmt::Debug for FleetRouter {
 impl FleetRouter {
     /// See [`Fleet::push_sample`].
     pub fn push_sample(&self, shard: ShardId, sample: Sample) -> Result<(), ShimError> {
-        self.shared.member(shard)?.monitor.push_sample(sample)
+        self.member(shard)?.monitor.push_sample(sample)
+    }
+
+    /// Resolves a shard id through the membership cell (lock-free).
+    fn member(&self, shard: ShardId) -> Result<Arc<ShardMember>, ShimError> {
+        if self.shared.closed.load(Relaxed) {
+            return Err(ShimError::SessionClosed);
+        }
+        let guard = self.members.read().ok_or(ShimError::SessionClosed)?;
+        guard
+            .iter()
+            .find(|m| m.id == shard)
+            .cloned()
+            .ok_or(ShimError::UnknownShard { shard: shard.raw() })
     }
 }
 
@@ -578,31 +716,24 @@ impl FleetSessionBuilder<'_> {
     }
 }
 
-/// Builds a [`FleetSession`] over a networked scraper's published fused
-/// snapshots (see
-/// [`FleetScraper::session`](crate::FleetScraper::session)): no local
-/// members, the scraper's telemetry bundle and live scrape counters, and
-/// the scraper's cached fleet-wide metric dump.
+/// Builds a whole-catalog [`FleetSession`] over a scraper's published
+/// fused snapshots, telemetry bundle, live scrape counters and cached
+/// fleet-wide metric dump (see
+/// [`FleetScraper::session`](crate::FleetScraper::session)).
 pub(crate) fn scraper_session(
     catalog: &Catalog,
     fused: SnapshotReader<FleetSnapshot>,
     tele: Telemetry,
-    scrape_metrics: ScrapeMetrics,
+    metrics: ScrapeMetrics,
     scraped: Arc<Mutex<Vec<MetricSnapshot>>>,
 ) -> FleetSession {
-    let (mut members_writer, members_reader) = snapshot_cell::<Membership>();
-    members_writer.publish(Vec::new());
-    let agg_restarts = tele.registry().counter("fleet.agg_restarts");
     FleetSession {
         shared: Arc::new(FleetShared {
             catalog: Arc::new(catalog.clone()),
-            members: members_reader,
             fused,
-            subscribers: Mutex::new(Vec::new()),
             closed: AtomicBool::new(false),
             tele,
-            agg_restarts,
-            scrape_metrics: Some(scrape_metrics),
+            metrics,
             scraped,
         }),
         selection: Arc::new(Selection::new(None)),
@@ -716,34 +847,24 @@ impl FleetSession {
 
     /// Cumulative scrape-plane totals — the running sums of every
     /// [`RoundReport`](crate::RoundReport) the backing
-    /// [`FleetScraper`](crate::FleetScraper) has produced, read live
-    /// from its counter handles so byte/failure history survives whoever
-    /// pumped `poll_round`. In-process fleets have no scrape plane:
-    /// every field reads zero.
+    /// [`FleetScraper`] has produced (for an in-process [`Fleet`], the
+    /// scraper its aggregator thread pumps), read live from its counter
+    /// handles so byte/failure history survives whoever pumped
+    /// `poll_round`.
     pub fn scrape_totals(&self) -> Result<ScrapeTotals, ShimError> {
         self.ensure_open()?;
-        Ok(self
-            .shared
-            .scrape_metrics
-            .as_ref()
-            .map(ScrapeMetrics::totals)
-            .unwrap_or_default())
+        Ok(self.shared.metrics.totals())
     }
 
-    /// The fleet-wide metric dump: the fleet's own registry merged with
-    /// every live shard monitor's registry (in-process fleets) and with
-    /// the last wire-scraped shard dump (scraper-backed sessions — pump
-    /// [`FleetScraper::poll_telemetry`](crate::FleetScraper::poll_telemetry)
-    /// to refresh it). Render with
+    /// The fleet-wide metric dump: the scraper's own registry merged with
+    /// the last shard metric dump it pulled — by
+    /// [`FleetScraper::poll_telemetry`](crate::FleetScraper::poll_telemetry),
+    /// which every [`Fleet::refresh`] (and so every flush and sync) runs.
+    /// Render with
     /// [`render_prometheus`](bayesperf_obs::render_prometheus).
     pub fn fleet_metrics(&self) -> Result<Vec<MetricSnapshot>, ShimError> {
         self.ensure_open()?;
         let mut out = self.shared.tele.registry().snapshot();
-        if let Some(members) = self.shared.members.read() {
-            for m in members.iter() {
-                merge_metrics(&mut out, &m.session.telemetry().registry().snapshot());
-            }
-        }
         let scraped = self
             .shared
             .scraped
@@ -751,444 +872,6 @@ impl FleetSession {
             .unwrap_or_else(|e| e.into_inner());
         merge_metrics(&mut out, &scraped);
         Ok(out)
-    }
-
-    /// Subscribes to the per-generation fused update stream (bounded
-    /// queue; a lagging consumer loses updates and the next delivered one
-    /// carries the skip in [`FleetUpdate::gap`]).
-    pub fn subscribe(&self) -> FleetUpdates {
-        self.subscribe_with_capacity(FLEET_QUEUE_CAP)
-    }
-
-    /// [`FleetSession::subscribe`] with an explicit queue bound.
-    pub fn subscribe_with_capacity(&self, capacity: usize) -> FleetUpdates {
-        let (tx, rx) = sync_channel(capacity.max(1));
-        {
-            let mut subs = self
-                .shared
-                .subscribers
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if !self.shared.closed.load(Relaxed) {
-                subs.push(FleetSubscriber {
-                    tx,
-                    selection: self.selection.clone(),
-                    last_enqueued: None,
-                });
-            }
-        }
-        FleetUpdates { rx }
-    }
-}
-
-/// Blocking iterator over a fleet session's [`FleetUpdate`] stream.
-#[derive(Debug)]
-pub struct FleetUpdates {
-    rx: Receiver<FleetUpdate>,
-}
-
-impl FleetUpdates {
-    /// Non-blocking poll: `Ok(Some(update))`, `Ok(None)` when open but
-    /// empty, `Err(SessionClosed)` once the fleet closed and the queue
-    /// drained.
-    pub fn try_next(&mut self) -> Result<Option<FleetUpdate>, ShimError> {
-        match self.rx.try_recv() {
-            Ok(u) => Ok(Some(u)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(ShimError::SessionClosed),
-        }
-    }
-}
-
-impl Iterator for FleetUpdates {
-    type Item = FleetUpdate;
-
-    fn next(&mut self) -> Option<FleetUpdate> {
-        self.rx.recv().ok()
-    }
-}
-
-/// Widest idle multiplier: an idle fleet's aggregator decays to polling
-/// at `interval × 2⁶ = 64×` — slow enough to stop burning a core on
-/// stamp pre-checks, bounded so a fleet that resumes without churn is
-/// still noticed promptly. Churn wakes it immediately via
-/// [`AggControl::Poke`].
-const IDLE_BACKOFF_MAX_SHIFT: u32 = 6;
-
-/// The aggregator's wait before its next unsolicited scrape, after
-/// `idle_streak` consecutive passes in which no shard stamp moved:
-/// `interval × 2^min(streak, 6)`. Pure, so the schedule is testable
-/// without a thread.
-fn idle_backoff_interval(interval: Duration, idle_streak: u32) -> Duration {
-    interval.saturating_mul(1 << idle_streak.min(IDLE_BACKOFF_MAX_SHIFT))
-}
-
-/// Per-shard liveness tracking the aggregator keeps for *local*
-/// monitors: the health counters plus the last heartbeat and snapshot
-/// stamp observed, so a frozen heartbeat on a non-idle service reads as
-/// a stall — unless its snapshot stamp moved, which is definitive proof
-/// the service published since the previous round.
-struct LocalProbe {
-    health: ShardHealth,
-    last_beats: u64,
-    last_stamp: Option<(u32, u64)>,
-    /// Last derived health state, for transition telemetry.
-    state: HealthState,
-}
-
-impl Default for LocalProbe {
-    fn default() -> LocalProbe {
-        LocalProbe {
-            health: ShardHealth::default(),
-            last_beats: 0,
-            last_stamp: None,
-            state: HealthState::Healthy,
-        }
-    }
-}
-
-/// The background aggregator: scrapes shard snapshots, fuses, publishes.
-struct AggregatorService {
-    shared: Arc<FleetShared>,
-    writer: SnapshotWriter<FleetSnapshot>,
-    interval: Duration,
-    /// Staleness thresholds for the local liveness watchdog.
-    policy: HealthPolicy,
-    /// Liveness state per shard, aged one round per aggregation pass —
-    /// the same machine a dead remote shard goes through in `net`.
-    probes: HashMap<ShardId, LocalProbe>,
-    agg: Aggregator,
-    scratch: SnapshotView,
-    /// `(shard, chunk, window)` triples of the last fused pass — the
-    /// change detector that keeps idle scrapes from republishing.
-    last_key: Vec<(ShardId, u64, u32)>,
-    key: Vec<(ShardId, u64, u32)>,
-    generation: u64,
-    /// Fuse-stage span ring for this incarnation.
-    spans: SpanRecorder,
-    /// `health.transitions{state=...}` counters, indexed by [`state_idx`].
-    transitions: [Counter; 4],
-}
-
-impl AggregatorService {
-    fn new(
-        shared: Arc<FleetShared>,
-        writer: SnapshotWriter<FleetSnapshot>,
-        interval: Duration,
-        policy: HealthPolicy,
-        generation: u64,
-    ) -> AggregatorService {
-        let n_events = shared.catalog.len();
-        let spans = shared.tele.spans().recorder();
-        let transitions = [
-            HealthState::Healthy,
-            HealthState::Degraded,
-            HealthState::Stale,
-            HealthState::Dead,
-        ]
-        .map(|s| {
-            shared.tele.registry().counter(&bayesperf_obs::labeled(
-                "health.transitions",
-                "state",
-                s.name(),
-            ))
-        });
-        AggregatorService {
-            shared,
-            writer,
-            interval,
-            policy,
-            probes: HashMap::new(),
-            agg: Aggregator::new(n_events),
-            scratch: SnapshotView::default(),
-            last_key: Vec::new(),
-            key: Vec::new(),
-            generation,
-            spans,
-            transitions,
-        }
-    }
-
-    fn run(mut self, control: &Receiver<AggControl>) {
-        // Consecutive idle passes (no shard stamp moved). The wait grows
-        // exponentially with the streak — an idle fleet parks instead of
-        // busy-spinning stamp pre-checks at full scrape rate — and any
-        // control message (refresh, membership poke) resets it.
-        let mut idle_streak = 0u32;
-        loop {
-            let wait = idle_backoff_interval(self.interval, idle_streak);
-            match control.recv_timeout(wait) {
-                Ok(AggControl::Refresh(ack)) => {
-                    self.scrape();
-                    idle_streak = 0;
-                    let _ = ack.send(());
-                }
-                Ok(AggControl::Poke) => {
-                    self.scrape();
-                    idle_streak = 0;
-                }
-                Ok(AggControl::Panic) => {
-                    panic!("injected aggregator panic (test hook)");
-                }
-                Ok(AggControl::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.scrape() {
-                        idle_streak = 0;
-                    } else {
-                        idle_streak = idle_streak.saturating_add(1);
-                    }
-                }
-            }
-        }
-    }
-
-    /// One aggregation pass: scrape every live shard's snapshot, fuse,
-    /// and publish — but only when some shard actually progressed (or
-    /// membership changed), so idle fleets don't spin generations.
-    /// Returns whether anything moved (`false` = idle pass, eligible for
-    /// backoff).
-    fn scrape(&mut self) -> bool {
-        let members: Membership = match self.shared.members.read() {
-            // Copy the Arcs out and drop the guard before touching any
-            // shard: scraping must never pin the membership slot.
-            Some(guard) => guard.clone(),
-            None => return false,
-        };
-        // Liveness watchdog: before any snapshot reads, probe each local
-        // monitor's supervisor state and heartbeat, and age its health
-        // one round. A hung service (heartbeat frozen while not idle),
-        // one mid-restart, or one terminally failed goes through the
-        // identical Healthy → Degraded → Stale → Dead machine a dead
-        // remote shard does in the networked scrape plane.
-        let mut any_unhealthy = false;
-        self.probes
-            .retain(|id, _| members.iter().any(|m| m.id == *id));
-        for m in &members {
-            let probe = self.probes.entry(m.id).or_default();
-            let (beats, idle) = m.monitor.heartbeat();
-            let stamp = m.session.snapshot_stamp().ok();
-            // A snapshot stamp that moved since the previous round is
-            // definitive liveness proof: the service *published*. The
-            // heartbeat alone is racy here — a long tail correction
-            // holds `idle` false with `beats` frozen, and a refresh
-            // forced right after its flush ack can probe the thread in
-            // the gap before it parks, misreading a healthy monitor as
-            // stalled (and a Dead verdict would exclude its fresh
-            // snapshot from the very pass that was forced to fuse it).
-            let advanced = stamp.is_some() && stamp != probe.last_stamp;
-            let fate = match m.monitor.service_state() {
-                // A permanently down service cannot refresh its snapshot
-                // again; classify it like a dead link.
-                ServiceState::Failed { .. } => Some(FailureKind::Link),
-                // Mid-restart: this round's snapshot is a cached copy.
-                ServiceState::Restarting { .. } => Some(FailureKind::Timeout),
-                ServiceState::Running => {
-                    if idle || beats != probe.last_beats || advanced {
-                        None
-                    } else {
-                        // Not idle, yet neither the heartbeat nor the
-                        // snapshot advanced since the previous pass: a
-                        // stalled service.
-                        Some(FailureKind::Timeout)
-                    }
-                }
-                // `ServiceState` is non-exhaustive; treat future states
-                // conservatively as a missed round.
-                _ => Some(FailureKind::Timeout),
-            };
-            probe.last_beats = beats;
-            if stamp.is_some() {
-                probe.last_stamp = stamp;
-            }
-            match fate {
-                None => probe.health.on_success(),
-                Some(kind) => probe.health.on_failure(kind),
-            }
-            if probe.health.age > 0 {
-                any_unhealthy = true;
-            }
-            let state = ShardHealthView::observe(m.id, &probe.health, &self.policy).state;
-            if state != probe.state {
-                self.transitions[state_idx(state)].incr();
-                self.shared
-                    .tele
-                    .flight()
-                    .record(FlightEvent::HealthTransition {
-                        shard: m.id.raw(),
-                        from: probe.state.name(),
-                        to: state.name(),
-                    });
-                probe.state = state;
-            }
-        }
-        // Cheap pre-pass: `(shard, chunk, window)` stamps only, no
-        // posterior copies or label clones. The idle steady state (no
-        // shard progressed between scrapes, everybody healthy) exits
-        // here; any unhealthy shard forces full passes, because its
-        // inflation grows — and its fused weight shrinks — every round
-        // even while the stamps stand still.
-        self.key.clear();
-        for m in &members {
-            if let Ok((window, chunk)) = m.session.snapshot_stamp() {
-                self.key.push((m.id, chunk, window));
-            }
-        }
-        self.key.sort_unstable();
-        if self.key == self.last_key && !any_unhealthy {
-            return false;
-        }
-        // Something moved: pay for the full scrape. A shard may have
-        // advanced again since its stamp was read — absorbing the newer
-        // snapshot is fine, the next pre-pass simply fires once more.
-        let fuse_start = self.spans.now_ns();
-        self.agg.begin();
-        self.key.clear();
-        for m in &members {
-            let view = match self.probes.get(&m.id) {
-                Some(p) => ShardHealthView::observe(m.id, &p.health, &self.policy),
-                None => ShardHealthView::healthy(m.id),
-            };
-            // A shard that has not published yet (or is mid-shutdown)
-            // simply doesn't contribute this pass — but its health row
-            // still appears in the published snapshot.
-            if m.session.snapshot_into(&mut self.scratch).is_ok() {
-                let status = ShardStatus {
-                    shard: m.id,
-                    label: m.label.clone(),
-                    window: self.scratch.window,
-                    chunk: self.scratch.chunk,
-                    late_by_source: self.scratch.late_by_source.clone(),
-                };
-                let contributed = view.state.contributes();
-                if self
-                    .agg
-                    .absorb_shard(status, view, &self.scratch.posteriors)
-                    .is_ok()
-                    && contributed
-                {
-                    self.key
-                        .push((m.id, self.scratch.chunk, self.scratch.window));
-                }
-            } else {
-                self.agg.note_health(view);
-            }
-        }
-        self.key.sort_unstable();
-        if self.agg.absorbed() == 0 {
-            // Membership changed but nobody has posteriors: the previous
-            // fused snapshot stays published (stale-but-consistent, like
-            // the per-monitor cell after its last chunk).
-            std::mem::swap(&mut self.last_key, &mut self.key);
-            return true;
-        }
-        self.generation += 1;
-        let snap = match self.agg.fuse(self.generation) {
-            Ok(snap) => snap,
-            Err(_) => return true,
-        };
-        let max_window = snap.max_window();
-        self.notify_subscribers(&snap);
-        self.writer.publish(snap);
-        self.spans.record_since(Stage::Fuse, max_window, fuse_start);
-        std::mem::swap(&mut self.last_key, &mut self.key);
-        true
-    }
-
-    fn notify_subscribers(&self, snap: &FleetSnapshot) {
-        let mut subs = self
-            .shared
-            .subscribers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let max_window = snap.max_window();
-        subs.retain_mut(|sub| {
-            let posteriors: Vec<(EventId, Gaussian)> = sub
-                .selection
-                .iter(&self.shared.catalog)
-                .map(|e| (e, snap.fused[e.index()]))
-                .collect();
-            let gap = sub
-                .last_enqueued
-                .map_or(0, |last| snap.generation.saturating_sub(last + 1));
-            match sub.tx.try_send(FleetUpdate {
-                generation: snap.generation,
-                gap,
-                max_window,
-                shards: snap.shards.len(),
-                posteriors,
-            }) {
-                Ok(()) => {
-                    sub.last_enqueued = Some(snap.generation);
-                    true
-                }
-                Err(TrySendError::Full(_)) => true,
-                Err(TrySendError::Disconnected(_)) => false,
-            }
-        });
-    }
-}
-
-/// The supervised aggregator loop, run on the spawned
-/// `bayesperf-fleet-agg` thread: each [`AggregatorService`] incarnation
-/// runs under `catch_unwind`. A panic is contained — the fused cell's
-/// writer is reclaimed (readers kept serving the last fused snapshot
-/// throughout), the generation counter continues from that snapshot, and
-/// the scrape loop restarts after a short flat backoff. A crash loop
-/// (consecutive restarts without a newly published generation) gives up
-/// after [`AGG_MAX_CONSECUTIVE_RESTARTS`]; queued [`Fleet::refresh`]
-/// acks are dropped on supervisor exit, erroring their callers.
-fn supervise_aggregator(
-    shared: Arc<FleetShared>,
-    writer: SnapshotWriter<FleetSnapshot>,
-    interval: Duration,
-    policy: HealthPolicy,
-    control: Receiver<AggControl>,
-) {
-    let mut writer = Some(writer);
-    let mut consecutive = 0u32;
-    loop {
-        let Some(w) = writer.take() else {
-            break;
-        };
-        let gen_before = shared.fused.read().map(|g| g.generation).unwrap_or(0);
-        let svc = AggregatorService::new(shared.clone(), w, interval, policy, gen_before);
-        match catch_unwind(AssertUnwindSafe(|| svc.run(&control))) {
-            // Orderly shutdown (close / control channel dropped).
-            Ok(()) => break,
-            Err(payload) => {
-                let restarts = shared.agg_restarts.fetch_add(1) + 1;
-                shared.tele.flight().record(FlightEvent::AggRestart {
-                    restarts,
-                    cause: panic_cause(payload),
-                });
-                // Reclaim publication rights on the intact fused cell;
-                // the crashed incarnation's writer dropped mid-unwind.
-                writer = shared.fused.recover_writer();
-                let progressed =
-                    shared.fused.read().map(|g| g.generation).unwrap_or(0) > gen_before;
-                if progressed {
-                    consecutive = 0;
-                }
-                consecutive += 1;
-                if consecutive > AGG_MAX_CONSECUTIVE_RESTARTS {
-                    break;
-                }
-                std::thread::sleep(AGG_RESTART_BACKOFF);
-            }
-        }
-    }
-    // Receiver drops here: queued Refresh acks error their callers and
-    // subsequent control sends fail with SessionClosed.
-}
-
-/// Best-effort panic-payload rendering for flight-recorder causes.
-fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -190,9 +190,9 @@ impl Aggregator {
     }
 
     /// Adds one shard's posteriors to the current pass as a current
-    /// (Healthy) contribution — the in-process scrape path, where the
-    /// aggregator reads the shard's snapshot cell directly and staleness
-    /// cannot arise.
+    /// (Healthy) contribution — for callers that fuse snapshots they just
+    /// read themselves, with no health machine behind them (the
+    /// `fleet_scrape` example, the scrape-pass bench).
     ///
     /// Fails with [`ShimError::CatalogMismatch`] when the posterior
     /// vector is not catalog-sized (a scrape from a foreign catalog).
@@ -205,8 +205,8 @@ impl Aggregator {
         self.absorb_shard(status, health, posteriors)
     }
 
-    /// Adds one shard's posteriors with explicit health — the networked
-    /// scrape path, where the contribution may be a cached copy whose
+    /// Adds one shard's posteriors with explicit health — the scrape
+    /// path, where the contribution may be a cached copy whose
     /// variance must be inflated by `health.inflation` before fusion. A
     /// [`Dead`](crate::HealthState::Dead) contribution is recorded in the
     /// health rows but excluded from fusion.

@@ -221,8 +221,9 @@ pub struct ShardHealthView {
 }
 
 impl ShardHealthView {
-    /// The view of a shard that is current as of this round — the
-    /// in-process fleet path, where every scrape trivially succeeds.
+    /// The view of a shard that is current as of this round, for
+    /// contributions fused without a health machine
+    /// ([`Aggregator::absorb`](crate::Aggregator::absorb)).
     pub fn healthy(shard: ShardId) -> ShardHealthView {
         ShardHealthView {
             shard,

@@ -21,33 +21,35 @@
 //! error mode per-event validation studies flag. See [`fuse`] for the
 //! math and the degenerate-case (one shard ⇒ bit-identical) guarantee.
 //!
-//! The crate adds three layers on top of `bayesperf_core`:
+//! The crate adds these layers on top of `bayesperf_core`:
 //!
 //! * [`Fleet`] — owns N topology-labelled shards (one [`Monitor`] each:
 //!   own ring, own inference thread), routes samples to shards through a
-//!   lock-free membership snapshot cell, and runs a background
-//!   aggregator that scrapes shard snapshots, fuses them and publishes a
-//!   [`FleetSnapshot`] through a second snapshot cell. Fleet reads are
-//!   as wait-free as single-session reads at any shard count.
+//!   lock-free membership snapshot cell, and registers every shard as an
+//!   endpoint of one [`FleetScraper`] (an in-process transport with a
+//!   liveness probe of the monitor), pumped by an aggregator timer
+//!   thread. In-process and networked fleets therefore scrape, age
+//!   health, fuse and publish through the same code. Fleet reads are as
+//!   wait-free as single-session reads at any shard count.
 //! * [`FleetSession`] — the fleet-scoped mirror of
 //!   [`Session`](bayesperf_core::Session):
 //!   [`read`](FleetSession::read) /
 //!   [`read_group`](FleetSession::read_group) /
-//!   [`read_derived`](FleetSession::read_derived) /
-//!   [`subscribe`](FleetSession::subscribe), plus per-shard drill-down
-//!   ([`shard_readings`](FleetSession::shard_readings)) and
-//!   percentile/straggler views on [`FleetSnapshot`].
+//!   [`read_derived`](FleetSession::read_derived), per-shard drill-down
+//!   ([`shard_readings`](FleetSession::shard_readings)),
+//!   percentile/straggler views on [`FleetSnapshot`], and the scrape
+//!   plane's totals and fleet-wide metric dump.
 //! * [`wire`] — the versioned varint binary codec carrying shard
 //!   snapshots and fleet summaries across byte boundaries (multi-process
 //!   scrape topologies), with typed, panic-free decoding.
-//! * [`net`] + [`health`] — the networked scrape plane: per-shard
-//!   scrape servers (TCP / Unix-domain, length-framed wire messages),
-//!   a concurrent aggregator-side [`FleetScraper`] with deadlines,
-//!   retries and per-endpoint backoff, delta scrapes keyed on snapshot
-//!   stamps, and a per-shard Healthy → Degraded → Stale → Dead state
-//!   machine whose staleness inflates cached contributions' variance
-//!   before fusion — a degraded fleet's posterior only ever widens.
-//!   [`SimTransport`] wraps the same protocol in seeded
+//! * [`net`] + [`health`] — the scrape plane: per-shard scrape servers
+//!   (TCP / Unix-domain, length-framed wire messages), the
+//!   [`FleetScraper`] with deadlines, retries and per-endpoint backoff,
+//!   delta scrapes keyed on snapshot stamps, publication only when the
+//!   fusion input changed, and a per-shard Healthy → Degraded → Stale →
+//!   Dead state machine whose staleness inflates cached contributions'
+//!   variance before fusion — a degraded fleet's posterior only ever
+//!   widens. [`SimTransport`] wraps the same protocol in seeded
 //!   [`LinkState`](bayesperf_simcpu::LinkState) fault models for
 //!   deterministic 100+ shard lossy-fleet simulation.
 //!
@@ -62,7 +64,6 @@ pub mod wire;
 
 pub use fleet::{
     Fleet, FleetConfig, FleetGroupReading, FleetRouter, FleetSession, FleetSessionBuilder,
-    FleetUpdate, FleetUpdates,
 };
 pub use fuse::{fuse_gaussians, Aggregator, FleetSnapshot, ShardStatus};
 pub use health::{FailureKind, HealthPolicy, HealthState, ShardHealth, ShardHealthView};

@@ -2,9 +2,10 @@
 //! aggregator-side concurrent scrape client, and a deterministic
 //! fault-injection transport.
 //!
-//! PR 4's fleet kept shards and aggregator in one process; this module
-//! ships [`wire`] frames across real byte boundaries and — the part that
-//! matters — survives them. The pieces:
+//! The fleet's one aggregation path. It ships [`wire`] frames across
+//! real byte boundaries and — the part that matters — survives them; the
+//! in-process [`Fleet`](crate::Fleet) runs the same path over a local
+//! transport. The pieces:
 //!
 //! * [`ScrapeResponder`] — shard-side request handler: answers a
 //!   [`ScrapeRequest`](wire::ScrapeRequest) with either a tiny
@@ -23,8 +24,9 @@
 //!   [`poll_round`](FleetScraper::poll_round) (concurrently, with
 //!   bounded retries and per-endpoint exponential backoff with seeded
 //!   jitter), feeds the per-shard [`health`](crate::health) state
-//!   machine, and publishes health-aware fused [`FleetSnapshot`]s
-//!   through a lock-free snapshot cell.
+//!   machine, and — when the fusion input changed — publishes a
+//!   health-aware fused [`FleetSnapshot`] through a lock-free snapshot
+//!   cell.
 //!
 //! Failure philosophy: a scrape failure is *evidence about the link*,
 //! not about the shard's data — the cached posterior is still the best
@@ -131,37 +133,42 @@ impl<S: SnapshotSource> ScrapeResponder<S> {
 
     /// Answers `req` into `out` (cleared first). The client's stamp being
     /// current — or the source having no snapshot yet — yields a tiny
-    /// `Unchanged` ack; anything else yields the full snapshot.
-    pub fn respond(&self, req: &wire::ScrapeRequest, out: &mut Vec<u8>) {
+    /// `Unchanged` ack; anything else yields the full snapshot. A source
+    /// that cannot serve at all (its service is down or closed) is an
+    /// error: there is no snapshot to vouch for, so the client's cache
+    /// must age rather than be confirmed.
+    pub fn respond(&self, req: &wire::ScrapeRequest, out: &mut Vec<u8>) -> Result<(), ShimError> {
         out.clear();
-        let stamp = match self.source_stamp_now() {
+        let stamp = match self.source.source_stamp() {
+            Ok(stamp) => stamp,
             // No snapshot yet: (0, 0) is the reserved "nothing published"
             // stamp (chunk counters are 1-based).
-            None => return wire::encode_unchanged(0, 0, out),
-            Some(stamp) => stamp,
+            Err(ShimError::NoPosteriorYet) => {
+                wire::encode_unchanged(0, 0, out);
+                return Ok(());
+            }
+            Err(e) => return Err(e),
         };
         if stamp == (req.last_window, req.last_chunk) {
-            return wire::encode_unchanged(stamp.0, stamp.1, out);
+            wire::encode_unchanged(stamp.0, stamp.1, out);
+        } else {
+            let view = self.source.source_view()?;
+            wire::encode_shard_view(self.shard, &self.label, &view, out);
         }
-        match self.source.source_view() {
-            Ok(view) => wire::encode_shard_view(self.shard, &self.label, &view, out),
-            // The snapshot vanished between stamp and view (source shut
-            // down); answer as "nothing published".
-            Err(_) => wire::encode_unchanged(0, 0, out),
-        }
+        Ok(())
     }
 
     /// Answers one raw request payload of *either* request kind into
     /// `out`: scrape requests via [`respond`](ScrapeResponder::respond),
     /// telemetry requests (wire v3) with the source's metrics-registry
-    /// dump. A frame that is not a request is a typed error — connection
-    /// handlers drop the peer, the server stays up.
+    /// dump. A frame that is not a request, or a source that cannot
+    /// serve, is a typed error — connection handlers drop the peer, the
+    /// server stays up.
     pub fn respond_frame(&self, payload: &[u8], out: &mut Vec<u8>) -> Result<(), ShimError> {
         match wire::peek_kind(payload)? {
             wire::KIND_SCRAPE_REQ => {
                 let (req, _) = wire::decode_request(payload)?;
-                self.respond(&req, out);
-                Ok(())
+                self.respond(&req, out)
             }
             wire::KIND_TELEMETRY_REQ => {
                 wire::decode_telemetry_request(payload)?;
@@ -176,8 +183,17 @@ impl<S: SnapshotSource> ScrapeResponder<S> {
         }
     }
 
-    fn source_stamp_now(&self) -> Option<(u32, u64)> {
-        self.source.source_stamp().ok()
+    /// One in-process request/response exchange: what a socket client
+    /// sees, without the socket. A request the responder refuses is
+    /// [`ShimError::LinkDown`], because a socket server drops the
+    /// connection on it.
+    pub(crate) fn exchange(&self, request: &[u8]) -> Result<Vec<u8>, ShimError> {
+        let mut out = Vec::new();
+        self.respond_frame(request, &mut out)
+            .map_err(|_| ShimError::LinkDown {
+                what: "shard dropped the connection",
+            })?;
+        Ok(out)
     }
 }
 
@@ -544,8 +560,7 @@ impl<S: SnapshotSource + Send + Sync> ShardTransport for SimTransport<S> {
                 what: "link partitioned",
             }),
             LinkFate::Delivered { corrupt, .. } => {
-                let mut out = Vec::new();
-                self.responder.respond_frame(request, &mut out)?;
+                let mut out = self.responder.exchange(request)?;
                 if let Some((word, mask)) = corrupt {
                     if !out.is_empty() {
                         let at = usize::try_from(word % out.len() as u64).expect("index < len");
@@ -638,9 +653,12 @@ struct Endpoint {
 pub struct RoundReport {
     /// 1-based round index.
     pub round: u64,
-    /// Whether a new fused snapshot was published this round.
+    /// Whether a new fused snapshot was published this round (the
+    /// fusion input changed and at least one endpoint contributes).
     pub published: bool,
-    /// Endpoints whose cached posterior entered fusion.
+    /// Non-Dead endpoints with a cached posterior: the contributors of
+    /// the snapshot published this round, or of the standing one when the
+    /// input did not change.
     pub contributors: usize,
     /// Endpoints currently Dead (excluded from fusion).
     pub dead: usize,
@@ -722,7 +740,7 @@ pub(crate) struct ScrapeMetrics {
     transitions: [Counter; 4],
 }
 
-pub(crate) fn state_idx(state: HealthState) -> usize {
+fn state_idx(state: HealthState) -> usize {
     match state {
         HealthState::Healthy => 0,
         HealthState::Degraded => 1,
@@ -797,7 +815,17 @@ pub struct FleetScraper {
     /// Fuse-stage span ring (poll_round is caller-pumped, so this is
     /// single-threaded by construction).
     fuse_spans: SpanRecorder,
+    /// `(shard, cached stamp, health age)` of every endpoint at the last
+    /// publication — the fusion input. A round whose input matches it
+    /// has nothing new to publish.
+    fused_key: Vec<FuseKey>,
+    /// This round's key (scratch, swapped into `fused_key` on publish).
+    key: Vec<FuseKey>,
 }
+
+/// What one endpoint puts into fusion: its cached snapshot's stamp and
+/// its health age (which sets the inflation, or excludes it when Dead).
+type FuseKey = (ShardId, Option<(u32, u64)>, u32);
 
 impl FleetScraper {
     /// A scraper fusing a catalog of `n_events` events under `config`.
@@ -818,6 +846,8 @@ impl FleetScraper {
             metrics,
             scraped: Arc::new(Mutex::new(Vec::new())),
             fuse_spans,
+            fused_key: Vec::new(),
+            key: Vec::new(),
         }
     }
 
@@ -865,13 +895,10 @@ impl FleetScraper {
     /// `read_derived` / `snapshot`), backed by the networked scrape
     /// plane. The session also reads the scraper's live
     /// [`ScrapeTotals`] and the fleet-wide metric dump cached by
-    /// [`poll_telemetry`](FleetScraper::poll_telemetry). Update
-    /// subscriptions are not available through a scraper-backed session
-    /// (poll [`FleetSession::snapshot`] instead).
+    /// [`poll_telemetry`](FleetScraper::poll_telemetry).
     ///
     /// [`Fleet`]: crate::Fleet
     /// [`FleetSession`]: crate::FleetSession
-    /// [`FleetSession::snapshot`]: crate::FleetSession::snapshot
     pub fn session(&self, catalog: &bayesperf_events::Catalog) -> crate::FleetSession {
         crate::fleet::scraper_session(
             catalog,
@@ -933,11 +960,13 @@ impl FleetScraper {
 
     /// Runs one scrape round: poll every endpoint not in cooldown
     /// (concurrently, `config.concurrency` threads), update per-shard
-    /// health, fuse the non-Dead cached contributions with staleness
-    /// inflation, and publish the fused snapshot if at least one shard
-    /// contributed. When nothing contributes (all Dead, or nothing
-    /// scraped yet) the previous published snapshot stays in place —
-    /// readers never see the fleet posterior disappear.
+    /// health, and — when the fusion input changed since the last
+    /// publication (an endpoint's cached stamp, its health age, or the set
+    /// of endpoints) — fuse the non-Dead cached contributions with
+    /// staleness inflation and publish the fused snapshot. When the input
+    /// is unchanged, or nothing contributes (all Dead, or nothing scraped
+    /// yet), the previous published snapshot stays in place — readers
+    /// never see the fleet posterior disappear.
     pub fn poll_round(&mut self) -> RoundReport {
         self.round += 1;
         let tally = self.poll_endpoints();
@@ -952,54 +981,34 @@ impl FleetScraper {
         self.metrics
             .round_bytes
             .record(tally.bytes_sent + tally.bytes_received);
-        // Sequential fusion pass over the per-endpoint state.
-        let fuse_start = self.fuse_spans.now_ns();
-        self.agg.begin();
+        // Health pass: every endpoint's state (transition telemetry) and
+        // this round's fusion input.
         let mut dead = 0;
-        let mut top_window = 0u32;
+        let mut contributors = 0;
+        self.key.clear();
         for ep in &mut self.endpoints {
-            let view = ShardHealthView::observe(ep.shard, &ep.health, &self.config.health);
-            if view.state != ep.state {
-                self.metrics.transitions[state_idx(view.state)].incr();
+            let state = self.config.health.state(ep.health.age);
+            if state != ep.state {
+                self.metrics.transitions[state_idx(state)].incr();
                 self.tele.flight().record(FlightEvent::HealthTransition {
                     shard: ep.shard.raw(),
                     from: ep.state.name(),
-                    to: view.state.name(),
+                    to: state.name(),
                 });
-                ep.state = view.state;
+                ep.state = state;
             }
-            if !view.state.contributes() {
+            if !state.contributes() {
                 dead += 1;
+            } else if ep.cache.is_some() {
+                contributors += 1;
             }
-            match &ep.cache {
-                Some((status, posteriors)) if view.state.contributes() => {
-                    top_window = top_window.max(status.window);
-                    // Catalog mismatch is caught at decode time; a cached
-                    // entry is always catalog-sized.
-                    self.agg
-                        .absorb_shard(status.clone(), view, posteriors)
-                        .expect("cached contribution is catalog-sized");
-                }
-                _ => self.agg.note_health(view),
-            }
+            self.key.push((ep.shard, ep.last, ep.health.age));
         }
-        let contributors = self.agg.absorbed();
-        let published = if contributors > 0 {
-            self.generation += 1;
-            let snap = self
-                .agg
-                .fuse(self.generation)
-                .expect("at least one contributor absorbed");
-            self.writer.publish(snap);
-            self.metrics.published.incr();
-            // The fuse span is tagged with the freshest window that
-            // entered fusion, closing that window's end-to-end trace.
-            self.fuse_spans
-                .record_since(Stage::Fuse, top_window, fuse_start);
-            true
-        } else {
-            false
-        };
+        let published = contributors > 0 && self.key != self.fused_key;
+        if published {
+            self.fuse_and_publish();
+            std::mem::swap(&mut self.fused_key, &mut self.key);
+        }
         RoundReport {
             round: self.round,
             published,
@@ -1015,22 +1024,59 @@ impl FleetScraper {
         }
     }
 
-    /// The concurrent polling phase: endpoints are split into contiguous
-    /// chunks, one scoped thread per chunk; all state touched is
-    /// per-endpoint, so threads never contend.
-    fn poll_endpoints(&mut self) -> Tally {
-        let config = self.config.clone();
-        let n = self.endpoints.len();
-        if n == 0 {
-            return Tally::default();
+    /// Sequential fusion pass over the per-endpoint caches: publishes a
+    /// new generation (at least one endpoint contributes).
+    fn fuse_and_publish(&mut self) {
+        let fuse_start = self.fuse_spans.now_ns();
+        self.agg.begin();
+        let mut top_window = 0u32;
+        for ep in &self.endpoints {
+            let view = ShardHealthView::observe(ep.shard, &ep.health, &self.config.health);
+            match &ep.cache {
+                Some((status, posteriors)) if view.state.contributes() => {
+                    top_window = top_window.max(status.window);
+                    // Catalog mismatch is caught at decode time; a cached
+                    // entry is always catalog-sized.
+                    self.agg
+                        .absorb_shard(status.clone(), view, posteriors)
+                        .expect("cached contribution is catalog-sized");
+                }
+                _ => self.agg.note_health(view),
+            }
         }
+        self.generation += 1;
+        let snap = self
+            .agg
+            .fuse(self.generation)
+            .expect("at least one contributor absorbed");
+        self.writer.publish(snap);
+        self.metrics.published.incr();
+        // The fuse span is tagged with the freshest window that entered
+        // fusion, closing that window's end-to-end trace.
+        self.fuse_spans
+            .record_since(Stage::Fuse, top_window, fuse_start);
+    }
+
+    /// The polling phase: endpoints are split into contiguous chunks, one
+    /// scoped thread per chunk; all state touched is per-endpoint, so
+    /// threads never contend. When one worker covers every endpoint, it
+    /// is the calling thread.
+    fn poll_endpoints(&mut self) -> Tally {
+        let config = &self.config;
+        let n = self.endpoints.len();
         let chunk = n.div_ceil(config.concurrency.max(1)).max(1);
+        let mut total = Tally::default();
+        if chunk >= n {
+            for ep in &mut self.endpoints {
+                poll_endpoint(ep, config, &mut total);
+            }
+            return total;
+        }
         let tallies: Vec<Tally> = thread::scope(|scope| {
             let handles: Vec<_> = self
                 .endpoints
                 .chunks_mut(chunk)
                 .map(|eps| {
-                    let config = &config;
                     scope.spawn(move || {
                         let mut tally = Tally::default();
                         for ep in eps {
@@ -1045,7 +1091,6 @@ impl FleetScraper {
                 .map(|h| h.join().expect("scrape worker must not panic"))
                 .collect()
         });
-        let mut total = Tally::default();
         for t in tallies {
             total.attempted += t.attempted;
             total.skipped += t.skipped;
@@ -1267,12 +1312,15 @@ mod tests {
         assert!(snap.fused.iter().all(|g| g.var.is_finite() && g.var > 0.0));
         drop(snap);
         // Steady state: every endpoint acks Unchanged, stays Healthy,
-        // and the round's bytes collapse to acks.
+        // and the round's bytes collapse to acks. Nothing changed, so
+        // nothing is republished: the first snapshot stands.
         let second = scraper.poll_round();
         assert_eq!(second.unchanged, 4);
         assert_eq!(second.full_snapshots, 0);
-        assert!(second.published);
+        assert!(!second.published);
+        assert_eq!(second.contributors, 4);
         assert!(second.bytes_received < first.bytes_received / 2);
+        assert_eq!(reader.read().expect("published").generation, 1);
     }
 
     #[test]

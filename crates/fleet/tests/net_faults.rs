@@ -479,6 +479,106 @@ fn corrupted_frames_age_health_but_never_panic() {
 }
 
 #[test]
+fn a_permanently_failed_shard_ages_to_dead() {
+    use bayesperf_core::corrector::CorrectorConfig;
+    use bayesperf_core::service::{ServiceState, SupervisorPolicy};
+    use bayesperf_core::Monitor;
+    use bayesperf_events::{Arch, Catalog, Semantic};
+    use bayesperf_simcpu::{pack_round_robin, Pmu, PmuConfig};
+
+    // A real shard monitor with no restart budget: one crash is final,
+    // and every read of its session reports ServiceDown from then on.
+    let cat = Catalog::new(Arch::X86SkyLake);
+    let mut truth = bayesperf_workloads::kmeans().instantiate(&cat, 0);
+    let pmu = Pmu::new(&cat, PmuConfig::for_catalog(&cat));
+    let events = [Semantic::L1dMisses, Semantic::LlcMisses].map(|s| cat.require(s));
+    let schedule = pack_round_robin(&cat, &events).expect("schedule fits");
+    let run = pmu.run_multiplexed(&mut truth, &schedule, 6);
+    let policy = SupervisorPolicy {
+        max_consecutive_restarts: 0,
+        ..SupervisorPolicy::default()
+    };
+    let monitor = Monitor::with_policy(&cat, CorrectorConfig::for_run(&run), 1 << 14, policy)
+        .expect("spawn monitor");
+    for w in &run.windows {
+        for s in &w.samples {
+            monitor.push_sample(*s).expect("room");
+        }
+    }
+    monitor.flush().expect("alive");
+
+    let config = ScrapeConfig {
+        deadline: DEADLINE,
+        ..ScrapeConfig::default()
+    };
+    let dead_after = config.health.dead_after;
+    let mut scraper = FleetScraper::new(cat.len(), config);
+    let failed = ShardId::from_raw(0);
+    let session = monitor.session().open().expect("open");
+    let r = Arc::new(ScrapeResponder::new(
+        failed,
+        ShardLabel::new("m0", 0),
+        session,
+    ));
+    scraper.add_endpoint(
+        failed,
+        ShardLabel::new("m0", 0),
+        Box::new(SimTransport::new(r, LinkState::new(LinkProfile::clean(1)))),
+    );
+    // A healthy witness keeps publication alive, so the failed shard's
+    // health row stays observable after it leaves fusion.
+    let (_, witness) = responder(1, cat.len());
+    scraper.add_endpoint(
+        ShardId::from_raw(1),
+        ShardLabel::new("m1", 1),
+        Box::new(SimTransport::new(
+            witness,
+            LinkState::new(LinkProfile::clean(2)),
+        )),
+    );
+    let reader = scraper.reader();
+    scraper.poll_round();
+    assert_eq!(
+        reader.read().unwrap().shard_health(failed).unwrap().state,
+        HealthState::Healthy
+    );
+
+    monitor.inject_panic().expect("alive");
+    let start = std::time::Instant::now();
+    while !matches!(monitor.service_state(), ServiceState::Failed { .. }) {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "service never failed"
+        );
+        std::thread::yield_now();
+    }
+
+    // Every round from here on fails; the shard walks the whole machine.
+    let mut states = Vec::new();
+    for _ in 0..dead_after + 2 {
+        let report = scraper.poll_round();
+        assert!(report.published, "the aging shard changes fusion input");
+        let snap = reader.read().unwrap();
+        let h = snap.shard_health(failed).unwrap().clone();
+        if states.last() != Some(&h.state) {
+            states.push(h.state);
+        }
+        assert_eq!(
+            snap.shards.iter().any(|s| s.shard == failed),
+            h.state.contributes()
+        );
+    }
+    assert_eq!(
+        states,
+        [HealthState::Degraded, HealthState::Stale, HealthState::Dead]
+    );
+    let snap = reader.read().unwrap();
+    let h = snap.shard_health(failed).unwrap();
+    assert!(h.link_errors > 0, "a down service reads as a dropped link");
+    assert_eq!(h.decode_errors, 0);
+}
+
+#[test]
 fn tcp_and_unix_servers_serve_real_scrapes() {
     use bayesperf_fleet::{ScrapeServer, TcpTransport, UnixTransport};
     let sock_deadline = Duration::from_secs(2);

@@ -94,7 +94,7 @@
 //! * [`ExpectationPropagation::cold_reset`] discards all messages (vacuous
 //!   approximation, global = prior) while **keeping** the cached sweep
 //!   schedule, site-update records and per-worker workspaces — the
-//!   structural reuse the independent-chunks corrector mode relies on.
+//!   structural reuse every cold chunk load relies on.
 //! * Sites whose tilted distribution is exactly Gaussian
 //!   ([`MomentStrategy::Analytic`], e.g. [`FactorSite`](crate::FactorSite)s
 //!   made of linear-Gaussian / high-count-Poisson factors) bypass MCMC
@@ -613,8 +613,8 @@ impl ExpectationPropagation {
     /// global approximation returns to the (new) prior, cavity history and
     /// the sweep counter reset — while keeping the cached sweep schedule
     /// and buffers. The next run is cold (full budgets), but pays no
-    /// topology or allocation cost: this is the structural-reuse path the
-    /// independent-chunks corrector mode uses.
+    /// topology or allocation cost: this is the structural-reuse path
+    /// every cold chunk load takes.
     ///
     /// # Panics
     ///
