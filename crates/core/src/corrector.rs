@@ -8,12 +8,13 @@
 //! window, and each chunk only swaps observations. With
 //! [`CorrectorConfig::warm_start`] (the default) the EP site messages
 //! survive too — the steady-state loop (chunk 2+) performs **zero heap
-//! allocations** at `threads = 1` and converges in 1–2 sweeps with
-//! shrunken MCMC budgets instead of the full cold budget. Disabling
-//! `warm_start` discards the messages per chunk and runs the
-//! paper-faithful full cold budget (the benchmark baseline). A ragged
-//! final chunk goes through [`Corrector::push_tail`]. Parallelism lives
-//! inside a chunk, in the EP engine farm, and never changes results.
+//! allocations**, on the inference thread and the farm crew alike, and
+//! converges in 1–2 sweeps with shrunken MCMC budgets instead of the full
+//! cold budget. Disabling `warm_start` discards the messages per chunk
+//! and runs the paper-faithful full cold budget (the benchmark baseline).
+//! A ragged final chunk goes through [`Corrector::push_tail`].
+//! Parallelism lives inside a chunk, in the EP engine farm, and never
+//! changes results.
 //!
 //! Sample windows are borrowed as slices end-to-end (no per-window clone
 //! on either the [`Corrector::correct_run`] or
@@ -34,8 +35,11 @@ pub struct CorrectorConfig {
     pub ep: EpConfig,
     /// RNG seed for the MCMC chains.
     pub seed: u64,
-    /// Worker threads of the within-chunk EP engine farm. `1` means fully
-    /// sequential; results are bit-identical at any count.
+    /// Threads of the within-chunk EP engine farm: the calling thread
+    /// plus up to `threads − 1` idle helpers of the process-wide farm crew
+    /// (`available_parallelism() − 1` threads shared by every engine in the
+    /// process). `1` means fully sequential; results are bit-identical at
+    /// any count.
     pub threads: usize,
     /// Carry the EP approximation across chunks (incremental correction).
     pub warm_start: bool,
@@ -55,7 +59,9 @@ pub struct CorrectorConfig {
 
 impl CorrectorConfig {
     /// Default configuration for a recorded run: chained chunks,
-    /// sequential execution, warm-started engine reuse.
+    /// warm-started engine reuse, and `threads` at
+    /// `available_parallelism()`, so the farm may use every core the
+    /// crew has.
     pub fn for_run(run: &MultiplexRun) -> Self {
         let model = ModelConfig::for_run(run);
         let ep = model.fast_ep();
@@ -63,7 +69,7 @@ impl CorrectorConfig {
             model,
             ep,
             seed: 0,
-            threads: 1,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             warm_start: true,
             jump_frac: 0.45,
             jump_ratio: 2.0,
@@ -279,7 +285,7 @@ impl<'a> Corrector<'a> {
     /// the engine from the previous [`Corrector::push_chunk`] call (the
     /// first chunk after a reset runs cold). This is the shim's online
     /// path; after warm-up (chunk 2+) a push performs **zero heap
-    /// allocations** at `threads = 1`. Read results back through
+    /// allocations** at any thread count. Read results back through
     /// [`Corrector::posterior`].
     ///
     /// # Panics
@@ -490,8 +496,7 @@ impl<'a> Corrector<'a> {
     /// off the previous chunk's final slice). A ragged tail chunk (fewer
     /// windows than `slices`) goes through [`Corrector::push_tail`] — the
     /// same path the streaming flush runs, so batch and streamed series
-    /// stay bit-identical. Steady state (chunk 2+) is allocation-free at
-    /// `threads = 1`.
+    /// stay bit-identical. Steady state (chunk 2+) is allocation-free.
     ///
     /// Every chunk runs on the deterministic engine farm with its own
     /// derived seed, so thread count is purely a throughput knob —

@@ -404,10 +404,40 @@ impl Shared {
 
     /// Enqueues a control message and blocks until the service acks it.
     fn control_roundtrip(&self, make: impl FnOnce(Sender<()>) -> Control) -> Result<(), ShimError> {
+        wait_ack(self.post_control(make))
+    }
+
+    /// Enqueues a control message; the receiver yields the service's ack.
+    fn post_control(
+        &self,
+        make: impl FnOnce(Sender<()>) -> Control,
+    ) -> Result<Receiver<()>, ShimError> {
         let (tx, rx) = channel();
         self.enqueue_control(make(tx))?;
-        rx.recv().map_err(|_| ShimError::SessionClosed)
+        Ok(rx)
     }
+}
+
+fn wait_ack(posted: Result<Receiver<()>, ShimError>) -> Result<(), ShimError> {
+    posted?.recv().map_err(|_| ShimError::SessionClosed)
+}
+
+/// Posts one control to every monitor before waiting on any ack, so the
+/// services act concurrently; returns the first error once every ack is
+/// in.
+fn roundtrip_all<'a>(
+    monitors: impl IntoIterator<Item = &'a Monitor>,
+    post: impl Fn(&Shared) -> Result<Receiver<()>, ShimError>,
+) -> Result<(), ShimError> {
+    let posted: Vec<_> = monitors.into_iter().map(|m| post(&m.shared)).collect();
+    let mut first = Ok(());
+    for ack in posted {
+        let r = wait_ack(ack);
+        if first.is_ok() {
+            first = r;
+        }
+    }
+    first
 }
 
 /// The shared monitoring service: catalog + sample ring + background
@@ -557,10 +587,19 @@ impl Monitor {
     /// that guarantee cannot hold, so `sync` returns
     /// [`ShimError::ServicePaused`] instead of acking a no-op.
     pub fn sync(&self) -> Result<(), ShimError> {
-        if self.shared.paused.load(Relaxed) {
-            return Err(ShimError::ServicePaused);
-        }
-        self.shared.control_roundtrip(Control::Sync)
+        Monitor::sync_all([self])
+    }
+
+    /// [`Monitor::sync`] on every monitor at once: each service gets its
+    /// sync before any ack is awaited, so their backlogs are corrected
+    /// concurrently. Returns the first error after every ack is in.
+    pub fn sync_all<'a>(monitors: impl IntoIterator<Item = &'a Monitor>) -> Result<(), ShimError> {
+        roundtrip_all(monitors, |shared| {
+            if shared.paused.load(Relaxed) {
+                return Err(ShimError::ServicePaused);
+            }
+            shared.post_control(Control::Sync)
+        })
     }
 
     /// Corrects the stream's ragged tail **now**: completes all assembling
@@ -569,7 +608,14 @@ impl Monitor {
     /// the result. Samples for already-flushed windows arriving later are
     /// dropped as late.
     pub fn flush(&self) -> Result<(), ShimError> {
-        self.shared.control_roundtrip(Control::Flush)
+        Monitor::flush_all([self])
+    }
+
+    /// [`Monitor::flush`] on every monitor at once: each service gets its
+    /// flush before any ack is awaited, so the tails are corrected
+    /// concurrently. Returns the first error after every ack is in.
+    pub fn flush_all<'a>(monitors: impl IntoIterator<Item = &'a Monitor>) -> Result<(), ShimError> {
+        roundtrip_all(monitors, |shared| shared.post_control(Control::Flush))
     }
 
     /// Stops the service draining the ring, so pushed samples queue up (or
@@ -1734,6 +1780,16 @@ fn backoff_or_shutdown(shared: &Shared, backoff: Duration) -> bool {
     }
 }
 
+/// Step 1 of the shutdown handshake: marks the service closed and drops
+/// any controls that raced in, under the state lock (`enqueue_control`
+/// checks `closed` under the same lock, so none slip in after; dropping a
+/// control's ack sender errors its caller's recv into `SessionClosed`).
+fn mark_closed(shared: &Shared) {
+    let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());
+    shared.closed.store(true, Relaxed);
+    st.control.clear();
+}
+
 /// The supervised service loop, run on the spawned `bayesperf-inference`
 /// thread. Each [`InferenceService`] incarnation runs under
 /// `catch_unwind`; a panic is contained here instead of poisoning the
@@ -1774,11 +1830,7 @@ fn supervise(
     struct ShutdownGuard(Arc<Shared>);
     impl Drop for ShutdownGuard {
         fn drop(&mut self) {
-            {
-                let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
-                self.0.closed.store(true, Relaxed);
-                st.control.clear();
-            }
+            mark_closed(&self.0);
             self.0
                 .subscribers
                 .lock()
@@ -1830,6 +1882,9 @@ fn supervise(
                     shared.tele.flight().record(FlightEvent::ServiceFailed {
                         cause: cause.clone(),
                     });
+                    // Refuse new work before anyone can observe `Failed`:
+                    // a push that sees the terminal state must fail.
+                    mark_closed(&shared);
                     state_writer.publish(ServiceState::Failed { cause });
                     // The automatic post-mortem: seal the flight ring at
                     // the moment of death so the dump survives whatever
@@ -2027,6 +2082,31 @@ mod tests {
         monitor.resume().expect("resume");
         monitor.sync().expect("sync after resume");
         assert!(monitor.chunks_run() > 0, "backlog processed on resume");
+    }
+
+    #[test]
+    fn sync_all_and_flush_all_serve_every_monitor_before_reporting_an_error() {
+        let cat = Catalog::new(Arch::X86SkyLake);
+        let run = recorded_run(&cat, 8);
+        let spawn =
+            || Monitor::new(&cat, CorrectorConfig::for_run(&run), 1 << 14).expect("spawn monitor");
+        let (mut failing, healthy) = (spawn(), spawn());
+        failing.pause().expect("pause");
+        feed(&failing, &run);
+        feed(&healthy, &run);
+        // The paused monitor comes first: its error must not stop the
+        // healthy one from being synced before the call returns.
+        assert_eq!(
+            Monitor::sync_all([&failing, &healthy]),
+            Err(ShimError::ServicePaused)
+        );
+        assert!(healthy.chunks_run() > 0, "healthy monitor synced");
+        failing.close();
+        assert_eq!(
+            Monitor::flush_all([&failing, &healthy]),
+            Err(ShimError::SessionClosed)
+        );
+        assert_eq!(healthy.windows_published(), run.windows.len() as u64);
     }
 
     #[test]

@@ -1,16 +1,21 @@
 //! Proof that the steady-state warm-started corrector loop is
 //! allocation-free: after the first chunk has grown every buffer (engine
-//! caches, workspaces, cavity history), pushing further chunks through the
-//! streaming API at `threads = 1` must not change the global allocation
+//! caches, per-site workspaces, cavity history), pushing further chunks
+//! through the streaming API must not change the global allocation
 //! counter — observation swap, prior re-seat, EP sweeps, MCMC chains,
-//! chain-prior capture and posterior reads included.
+//! chain-prior capture and posterior reads included. The counter sees
+//! every thread, so at `threads = 2` the farm crew's helpers are held to
+//! the same rule as the calling thread.
 //!
 //! This file holds exactly one test so no concurrent test can pollute the
-//! global counter.
+//! global counter; it ends by opening 16 monitors at once and checking the
+//! farm crew they share stays at `available_parallelism() − 1` helpers.
 
 use bayesperf_core::corrector::{Corrector, CorrectorConfig};
+use bayesperf_core::Monitor;
 use bayesperf_events::{Arch, Catalog, Semantic};
-use bayesperf_simcpu::{pack_round_robin, Pmu, PmuConfig, Sample};
+use bayesperf_inference::crew_status;
+use bayesperf_simcpu::{pack_round_robin, MultiplexRun, Pmu, PmuConfig, Sample};
 use bayesperf_workloads::kmeans;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,53 +41,104 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn steady_state_corrector_loop_allocates_nothing() {
-    let cat = Catalog::new(Arch::X86SkyLake);
-    let mut truth = kmeans().instantiate(&cat, 0);
-    let pmu = Pmu::new(&cat, PmuConfig::for_catalog(&cat));
+/// A 16-window KMeans run measuring two events.
+fn kmeans_run(cat: &Catalog) -> MultiplexRun {
+    let mut truth = kmeans().instantiate(cat, 0);
+    let pmu = Pmu::new(cat, PmuConfig::for_catalog(cat));
     let events = vec![
         cat.require(Semantic::L1dMisses),
         cat.require(Semantic::LlcMisses),
     ];
-    let schedule = pack_round_robin(&cat, &events).unwrap();
-    let n_windows = 12;
-    let run = pmu.run_multiplexed(&mut truth, &schedule, n_windows);
+    let schedule = pack_round_robin(cat, &events).unwrap();
+    pmu.run_multiplexed(&mut truth, &schedule, 16)
+}
 
-    let mut config = CorrectorConfig::for_run(&run);
-    config.model.slices = 2;
-    config.threads = 1; // thread spawns allocate; the sequential farm must not
-    let mut corrector = Corrector::new(&cat, config);
+/// Allocations across every chunk after the first, pushed through a
+/// corrector of `slices`-window chunks on `threads` farm threads.
+fn steady_state_allocations(
+    cat: &Catalog,
+    run: &MultiplexRun,
+    slices: usize,
+    threads: usize,
+) -> u64 {
+    let mut config = CorrectorConfig::for_run(run).with_threads(threads);
+    config.model.slices = slices;
+    let mut corrector = Corrector::new(cat, config);
 
     // Pre-build all chunk slices outside the measured region.
     let windows: Vec<&[Sample]> = run.windows.iter().map(|w| w.samples.as_slice()).collect();
-    let chunks: Vec<&[&[Sample]]> = windows.chunks(2).collect();
+    let chunks: Vec<&[&[Sample]]> = windows.chunks_exact(slices).collect();
+    assert!(chunks.len() >= 3);
     let probe = cat.require(Semantic::LlcReferences);
 
-    // Chunk 1 (cold): grows the engine caches, workspaces and history.
+    // Chunk 1 (cold): grows the engine caches, workspaces and history,
+    // and at `threads > 1` brings up the farm crew.
     corrector.push_chunk(chunks[0]);
 
-    // Windows 2+ (every later chunk): the warm loop must be allocation-free,
-    // including reading posteriors back out.
+    // Every later chunk: the warm loop must be allocation-free, including
+    // reading posteriors back out.
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let mut checksum = 0.0f64;
     for chunk in &chunks[1..] {
         let stats = corrector.push_chunk(chunk);
         assert!(stats.sweeps_run >= 1);
-        for t in 0..2 {
+        for t in 0..slices {
             checksum += corrector.posterior(t, probe).mean;
         }
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state push_chunk must not allocate ({} allocations observed \
-         across {} chunks)",
-        after - before,
-        chunks.len() - 1
-    );
 
     // Sanity: the loop really inferred something.
     assert!(checksum.is_finite() && checksum > 0.0);
+    after - before
+}
+
+#[test]
+fn steady_state_corrector_loop_allocates_nothing() {
+    let cat = Catalog::new(Arch::X86SkyLake);
+    let run = kmeans_run(&cat);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+
+    // Sequential farm: 2 slices, one site per batch.
+    let n = steady_state_allocations(&cat, &run, 2, 1);
+    assert_eq!(
+        n, 0,
+        "steady-state push_chunk allocated {n} times at threads = 1"
+    );
+
+    // The crew at work: 4 slices give two-site batches, so a helper can
+    // take a site of every batch.
+    let n = steady_state_allocations(&cat, &run, 4, 2);
+    assert_eq!(
+        n, 0,
+        "steady-state push_chunk allocated {n} times at threads = 2"
+    );
+    if cores > 1 {
+        assert!(
+            crew_status().helpers >= 1,
+            "threads = 2 never used the crew"
+        );
+    }
+
+    // Sixteen monitors share one crew of at most cores − 1 helpers.
+    let monitors: Vec<Monitor> = (0..16)
+        .map(|_| Monitor::new(&cat, CorrectorConfig::for_run(&run), 4096).unwrap())
+        .collect();
+    for w in &run.windows {
+        for m in &monitors {
+            for &s in &w.samples {
+                m.push_sample(s).unwrap();
+            }
+        }
+    }
+    Monitor::flush_all(&monitors).unwrap();
+    for m in &monitors {
+        assert_eq!(m.windows_published(), run.windows.len() as u64);
+    }
+    let status = crew_status();
+    assert!(
+        status.helpers < cores,
+        "{} crew helpers on {cores} cores",
+        status.helpers
+    );
 }

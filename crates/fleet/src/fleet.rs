@@ -430,20 +430,18 @@ impl Fleet {
     /// Blocks until every shard has ingested and corrected everything
     /// pushed before this call, then runs a scrape round ([`Fleet::refresh`])
     /// — the deterministic fleet-wide barrier: the fused snapshot covers
-    /// every shard's progress when it returns.
+    /// every shard's progress when it returns. The shards sync
+    /// concurrently ([`Monitor::sync_all`]).
     pub fn sync(&self) -> Result<(), ShimError> {
-        for m in &self.live {
-            m.monitor.sync()?;
-        }
+        Monitor::sync_all(self.live.iter().map(|m| &m.monitor))?;
         self.refresh()
     }
 
-    /// Flushes every shard's ragged tail (partial final chunk), then runs
-    /// a scrape round ([`Fleet::refresh`]).
+    /// Flushes every shard's ragged tail (partial final chunk), all shards
+    /// concurrently ([`Monitor::flush_all`]), then runs a scrape round
+    /// ([`Fleet::refresh`]).
     pub fn flush(&self) -> Result<(), ShimError> {
-        for m in &self.live {
-            m.monitor.flush()?;
-        }
+        Monitor::flush_all(self.live.iter().map(|m| &m.monitor))?;
         self.refresh()
     }
 

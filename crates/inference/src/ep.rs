@@ -35,12 +35,16 @@
 //!    scopes intersect; see [`SweepSchedule`]). Within a batch, updates
 //!    touch disjoint variables, so Jacobi-style batch application equals
 //!    the sequential Gauss-Seidel order exactly.
-//! 2. **Parallel compute, ordered merge.** Each sweep walks the batches;
-//!    a batch's site updates are computed concurrently on
-//!    `std::thread::scope` workers into per-site [`SiteUpdate`] records,
-//!    then merged into the global approximation sequentially in ascending
-//!    site order. The merge is cheap (a handful of message writes per
-//!    site); all MCMC work happens in the parallel phase.
+//! 2. **Parallel compute, ordered merge.** Each sweep walks the batches.
+//!    The calling thread claims up to `threads − 1` idle helpers of the
+//!    process-wide farm crew — persistent threads, `available_parallelism()
+//!    − 1` of them however many engines share the process, never waited
+//!    for — and every participant takes the batch's sites through one
+//!    shared atomic index, writing each into the site's own [`SiteUpdate`]
+//!    record. The driver then merges the records into the global
+//!    approximation sequentially in ascending site order. The merge is
+//!    cheap (a handful of message writes per site); all MCMC work happens
+//!    in the parallel phase.
 //! 3. **Counter-based RNG streams.** Every site update draws from its own
 //!    [`SiteRng`] stream, keyed by `(seed, site, sweep)` — no shared
 //!    sequential generator.
@@ -51,11 +55,12 @@
 //! randomness is a pure function of `(seed, site, sweep)`, batch members
 //! read disjoint state, and merges happen in a fixed order,
 //! `run_farm(seed, threads)` leaves **bit-identical** marginals and
-//! returns bit-identical [`EpRunStats`] for any `threads ≥ 1`. Thread
-//! count is purely a throughput knob — the `parallel_determinism`
-//! integration test pins this down. The guarantee extends to warm-started
-//! runs: the adaptive MCMC budget is derived from per-site cavity history
-//! that is itself updated in deterministic merge order.
+//! returns bit-identical [`EpRunStats`] for any `threads ≥ 1`, and for
+//! any assignment of sites to threads. Thread count is purely a
+//! throughput knob — the `parallel_determinism` integration test pins
+//! this down. The guarantee extends to warm-started runs: the adaptive
+//! MCMC budget is derived from per-site cavity history that is itself
+//! updated in deterministic merge order.
 //!
 //! # Warm-start lifecycle
 //!
@@ -93,24 +98,27 @@
 //!   scratch while the rest of the window stays warm.
 //! * [`ExpectationPropagation::cold_reset`] discards all messages (vacuous
 //!   approximation, global = prior) while **keeping** the cached sweep
-//!   schedule, site-update records and per-worker workspaces — the
+//!   schedule, site-update records and per-site workspaces — the
 //!   structural reuse every cold chunk load relies on.
 //! * Sites whose tilted distribution is exactly Gaussian
 //!   ([`MomentStrategy::Analytic`], e.g. [`FactorSite`](crate::FactorSite)s
 //!   made of linear-Gaussian / high-count-Poisson factors) bypass MCMC
 //!   entirely and compute moments by a site-local Cholesky solve.
 //!
-//! The hot path is allocation-free after warm-up: the sweep schedule,
-//! per-worker [`SiteWorkspace`] buffers (cavity state, MCMC scratch,
-//! analytic scratch) and per-site [`SiteUpdate`] records are cached inside
-//! the engine and reused across sweeps *and* across windows.
+//! The hot path is allocation-free after warm-up, on the driver and the
+//! crew alike: the sweep schedule, per-site [`SiteWorkspace`] buffers
+//! (cavity state, MCMC scratch, analytic scratch) and per-site
+//! [`SiteUpdate`] records are cached inside the engine and reused across
+//! sweeps *and* across windows.
 
 use crate::analytic::AnalyticScratch;
 use crate::dist::{FoldedGaussian, Gaussian};
+use crate::farm;
 use crate::mcmc::{McmcConfig, McmcSampler, Target};
 use crate::message::GaussianMessage;
-use crate::parallel::{SiteUpdate, SiteWorkspace, SweepSchedule};
+use crate::parallel::{SiteSlot, SiteUpdate, SiteWorkspace, SweepSchedule};
 use crate::rng::SiteRng;
+use std::sync::Mutex;
 
 /// How a site's tilted moments are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -370,14 +378,19 @@ pub struct EpRunStats {
     pub sites_quarantined: u64,
 }
 
-/// Cached farm state: the conflict-free sweep schedule plus the per-batch
-/// site-update records and per-worker workspaces, built on first use and
-/// reused across runs (and, for a warm-started corrector, across windows).
+/// Cached farm state: the conflict-free sweep schedule plus one
+/// [`SiteSlot`] per site, grouped by batch in schedule order — built on
+/// first use and reused across runs (and, for a warm-started corrector,
+/// across windows).
 struct FarmCache {
     schedule: SweepSchedule,
-    outs: Vec<Vec<SiteUpdate>>,
-    workspaces: Vec<SiteWorkspace>,
+    slots: Vec<Vec<Mutex<SiteSlot>>>,
 }
+
+/// A slot is poisoned only by a panicking site update. The farm re-raises
+/// that panic before the merge, and the unwind drops the taken-out cache,
+/// so no poisoned slot is ever locked again.
+const POISONED: &str = "site slot poisoned by a panic the farm re-raises";
 
 /// Running aggregates of one run's site updates.
 #[derive(Default)]
@@ -505,7 +518,7 @@ impl ExpectationPropagation {
     /// Registers a site (initialized with the vacuous approximation).
     ///
     /// Sites must be `Send + Sync` so the engine farm can update them from
-    /// worker threads.
+    /// crew threads.
     ///
     /// # Panics
     ///
@@ -650,22 +663,19 @@ impl ExpectationPropagation {
     }
 
     /// Runs EP on the engine farm: conflict-free batches of site updates
-    /// computed concurrently on up to `threads` workers, merged
-    /// deterministically. Allocation-free once the engine caches are
-    /// grown; read marginals back through
-    /// [`ExpectationPropagation::marginal`].
+    /// computed on the calling thread plus up to `threads − 1` idle helpers
+    /// of the process-wide farm crew, merged deterministically.
+    /// Allocation-free once the engine caches are grown; read marginals
+    /// back through [`ExpectationPropagation::marginal`].
     ///
     /// The result is **bit-identical for any `threads ≥ 1`** given the same
-    /// `seed` — see the module docs for why. `threads` is clamped to at
-    /// least 1 and at most the largest batch size (more workers than sites
-    /// in a batch cannot help).
+    /// `seed` — see the module docs for why. `threads` is a ceiling: a
+    /// batch of `n` sites claims at most `n − 1` helpers, and only those
+    /// that are idle at that moment (`threads ≤ 1` claims none).
     pub fn run_farm(&mut self, seed: u64, threads: usize) -> EpRunStats {
         self.ensure_cache();
         let mut cache = self.cache.take().expect("cache just ensured");
-        let threads = threads.clamp(1, cache.schedule.max_batch_len().max(1));
-        while cache.workspaces.len() < threads {
-            cache.workspaces.push(SiteWorkspace::new());
-        }
+        let helpers = threads.saturating_sub(1);
         let sampler = McmcSampler::new(self.config.mcmc);
 
         let mut sweeps = 0;
@@ -674,77 +684,33 @@ impl ExpectationPropagation {
         let mut hot = false;
 
         while self.keep_sweeping(sweeps, hot) {
-            let sweep_idx = self.total_sweeps + sweeps;
+            let sweep = self.total_sweeps + sweeps;
             sweeps += 1;
             let mut max_shift = 0.0f64;
             let mut votes = SweepVotes::default();
-            for (b, batch_out) in cache.outs.iter_mut().enumerate() {
+            for (b, slots) in cache.slots.iter_mut().enumerate() {
                 let batch = cache.schedule.batch(b);
-                let chunk = batch.len().div_ceil(threads).max(1);
-                {
-                    let sites = &self.sites;
-                    let site_approx = &self.site_approx;
-                    let site_prev_cavity = &self.site_prev_cavity;
-                    let global = &self.global;
-                    let prior = &self.prior;
-                    let config = &self.config;
-                    let warm = self.warm;
-                    let hot_prev = hot;
-                    let sampler = &sampler;
-                    let mut work = batch
-                        .chunks(chunk)
-                        .zip(batch_out.chunks_mut(chunk))
-                        .zip(cache.workspaces.iter_mut());
-                    if threads == 1 {
-                        // Inline on the driver thread: same code path, no
-                        // spawn overhead (and trivially the same results —
-                        // workers never observe each other's writes).
-                        for ((site_chunk, out_chunk), ws) in work {
-                            farm_worker(
-                                sites,
-                                site_approx,
-                                site_prev_cavity,
-                                global,
-                                prior,
-                                config,
-                                warm,
-                                hot_prev,
-                                sampler,
-                                seed,
-                                sweep_idx,
-                                site_chunk,
-                                out_chunk,
-                                ws,
-                            );
-                        }
-                    } else {
-                        std::thread::scope(|scope| {
-                            for ((site_chunk, out_chunk), ws) in &mut work {
-                                scope.spawn(move || {
-                                    farm_worker(
-                                        sites,
-                                        site_approx,
-                                        site_prev_cavity,
-                                        global,
-                                        prior,
-                                        config,
-                                        warm,
-                                        hot_prev,
-                                        sampler,
-                                        seed,
-                                        sweep_idx,
-                                        site_chunk,
-                                        out_chunk,
-                                        ws,
-                                    );
-                                });
-                            }
-                        });
-                    }
-                }
+                let ctx = SweepCtx {
+                    sites: &self.sites,
+                    site_approx: &self.site_approx,
+                    site_prev_cavity: &self.site_prev_cavity,
+                    global: &self.global,
+                    prior: &self.prior,
+                    config: &self.config,
+                    sampler: &sampler,
+                    warm: self.warm,
+                    hot_prev: hot,
+                    seed,
+                    sweep,
+                };
+                farm::for_each(batch.len(), helpers, &|i| {
+                    let mut slot = slots[i].lock().expect(POISONED);
+                    ctx.update(batch[i] as usize, &mut slot);
+                });
                 // Deterministic merge: ascending site order within the
-                // batch, regardless of which worker computed what.
-                for (&k, out) in batch.iter().zip(batch_out.iter()) {
+                // batch, regardless of which thread computed what.
+                for (&k, slot) in batch.iter().zip(slots.iter_mut()) {
+                    let out = &slot.get_mut().expect(POISONED).out;
                     let shift = self.apply_site_update(k as usize, out);
                     max_shift = max_shift.max(shift);
                     accum.absorb(out);
@@ -781,30 +747,26 @@ impl ExpectationPropagation {
         hot && sweeps < (self.config.warm_max_sweeps + 1).min(self.config.max_sweeps)
     }
 
-    /// Builds the schedule / update records / workspaces if missing.
+    /// Builds the schedule and the per-site slots if missing.
     fn ensure_cache(&mut self) {
         if self.cache.is_some() {
             return;
         }
         let schedule = self.sweep_schedule();
-        let outs: Vec<Vec<SiteUpdate>> = schedule
+        let slots = schedule
             .iter()
             .map(|batch| {
                 batch
                     .iter()
                     .map(|&k| {
-                        let mut u = SiteUpdate::default();
-                        u.prepare(self.sites[k as usize].as_ref());
-                        u
+                        let mut slot = SiteSlot::default();
+                        slot.out.prepare(self.sites[k as usize].as_ref());
+                        Mutex::new(slot)
                     })
                     .collect()
             })
             .collect();
-        self.cache = Some(FarmCache {
-            schedule,
-            outs,
-            workspaces: Vec::new(),
-        });
+        self.cache = Some(FarmCache { schedule, slots });
     }
 
     /// Merges one staged site update into the global approximation.
@@ -874,64 +836,54 @@ impl ExpectationPropagation {
     }
 }
 
-/// One worker's share of a batch: compute site updates for `site_chunk`
-/// into `out_chunk`, each site on its own counter-based RNG stream.
-#[allow(clippy::too_many_arguments)]
-fn farm_worker(
-    sites: &[Box<dyn SiteObj>],
-    site_approx: &[Vec<GaussianMessage>],
-    site_prev_cavity: &[Vec<GaussianMessage>],
-    global: &[GaussianMessage],
-    prior: &[Gaussian],
-    config: &EpConfig,
+/// The read-only state the site updates of one batch share.
+struct SweepCtx<'a> {
+    sites: &'a [Box<dyn SiteObj>],
+    site_approx: &'a [Vec<GaussianMessage>],
+    site_prev_cavity: &'a [Vec<GaussianMessage>],
+    global: &'a [GaussianMessage],
+    prior: &'a [Gaussian],
+    config: &'a EpConfig,
+    sampler: &'a McmcSampler,
     warm: bool,
+    /// Whether the previous sweep was "hot" (see `keep_sweeping`).
     hot_prev: bool,
-    sampler: &McmcSampler,
     seed: u64,
     sweep: usize,
-    site_chunk: &[u32],
-    out_chunk: &mut [SiteUpdate],
-    ws: &mut SiteWorkspace,
-) {
-    for (&k, out) in site_chunk.iter().zip(out_chunk.iter_mut()) {
-        let k = k as usize;
-        let mut rng = SiteRng::for_site(seed, k, sweep);
-        out.prepare(sites[k].as_ref());
-        compute_site_update(
-            sites[k].as_ref(),
-            &site_approx[k],
-            &site_prev_cavity[k],
-            global,
-            prior,
-            config,
-            warm,
-            hot_prev,
-            sampler,
-            &mut rng,
-            ws,
-            out,
-        );
+}
+
+impl SweepCtx<'_> {
+    /// Computes site `k`'s update into its slot, on the site's own
+    /// counter-based RNG stream.
+    fn update(&self, k: usize, slot: &mut SiteSlot) {
+        let mut rng = SiteRng::for_site(self.seed, k, self.sweep);
+        slot.out.prepare(self.sites[k].as_ref());
+        compute_site_update(self, k, &mut rng, &mut slot.ws, &mut slot.out);
     }
 }
 
 /// One site update (lines 3–7 of Alg. 1), staged into `out` without
 /// touching shared state — the pure-compute half the engine farm runs in
-/// parallel. `out` must already be [`SiteUpdate::prepare`]d for `site`.
-#[allow(clippy::too_many_arguments)]
+/// parallel. `out` must already be [`SiteUpdate::prepare`]d for site `k`.
 fn compute_site_update(
-    site: &dyn EpSite,
-    approx_k: &[GaussianMessage],
-    prev_cavity_k: &[GaussianMessage],
-    global: &[GaussianMessage],
-    prior: &[Gaussian],
-    config: &EpConfig,
-    warm: bool,
-    hot_prev: bool,
-    sampler: &McmcSampler,
+    ctx: &SweepCtx<'_>,
+    k: usize,
     rng: &mut SiteRng,
     ws: &mut SiteWorkspace,
     out: &mut SiteUpdate,
 ) {
+    let SweepCtx {
+        global,
+        prior,
+        config,
+        sampler,
+        warm,
+        hot_prev,
+        ..
+    } = *ctx;
+    let site = ctx.sites[k].as_ref();
+    let approx_k = &ctx.site_approx[k][..];
+    let prev_cavity_k = &ctx.site_prev_cavity[k][..];
     let SiteWorkspace {
         cavity_msgs,
         cavity,
@@ -1158,7 +1110,7 @@ mod tests {
                 .gaussian_linear(&[0, 1], &[1.0, 1.0], 8.0, 0.5)
                 .build(),
         );
-        // Two workers: the spawned-thread farm branch.
+        // Two threads: the crew may take the site.
         let r = ep.run_farm(99, 2);
         assert!(r.sites_quarantined > 0, "divergence counter must record");
         for v in 0..ep.num_vars() {
@@ -1175,7 +1127,7 @@ mod tests {
 
     #[test]
     fn quarantined_site_recovers_on_sequential_path_too() {
-        // One worker: the farm's inline (no-spawn) branch.
+        // One thread: no helper claimed.
         let mut ep =
             ExpectationPropagation::new(vec![Gaussian::new(0.0, 4.0)], EpConfig::default());
         let mut poisoned = FactorSite::builder(vec![0])

@@ -38,6 +38,7 @@ mod analytic;
 mod dist;
 mod ep;
 mod factor;
+mod farm;
 mod mcmc;
 mod message;
 mod parallel;
@@ -53,6 +54,7 @@ pub use factor::{
     FactorSite, FactorSiteBuilder, LinearGaussianFactor, LocalFactor, PoissonFactor,
     POISSON_GAUSSIAN_COUNT,
 };
+pub use farm::{crew_status, CrewStatus};
 pub use mcmc::{McmcConfig, McmcSampler, McmcScratch, McmcStats, Target};
 pub use message::GaussianMessage;
 pub use parallel::{SiteWorkspace, SweepSchedule};

@@ -99,7 +99,7 @@ pub struct McmcStats {
 /// Reusable chain state, factor cache and moment accumulators — the
 /// allocation-free MCMC hot path.
 ///
-/// Allocate one per worker (or one per sequential driver), call
+/// Allocate one per site (the engine farm does) or per thread, call
 /// [`McmcSampler::run_with_scratch`] repeatedly, and read the results
 /// through [`McmcScratch::mean`]/[`McmcScratch::var`]. Once every buffer has
 /// grown to the largest site dimension encountered, subsequent runs perform

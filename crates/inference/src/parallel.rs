@@ -2,7 +2,8 @@
 //!
 //! The paper's accelerator (§5) exploits that EP site updates only interact
 //! through the global approximation: its EP engines update many sites
-//! concurrently. The software farm reproduces that with three pieces:
+//! concurrently. The software farm reproduces that with three pieces here
+//! and the process-wide helper crew in `farm.rs`:
 //!
 //! * [`SweepSchedule`] — a deterministic partition of sites into
 //!   *conflict-free batches*: greedy coloring of the site-conflict graph
@@ -11,12 +12,14 @@
 //!   [`ColorBatches`] value. The schedule is a pure function of the site
 //!   topology — not the per-window data — so a warm-started engine computes
 //!   it once and replays it across sliding windows;
-//! * [`SiteWorkspace`] — one per worker thread: cavity buffers, MCMC init
-//!   and proposal-scale vectors, the sampler's [`McmcScratch`], and the
-//!   analytic solver's [`AnalyticScratch`]. All reused across site updates,
-//!   so the steady-state sweep performs no heap allocation;
+//! * [`SiteWorkspace`] — one per site: cavity buffers, MCMC init and
+//!   proposal-scale vectors, the sampler's [`McmcScratch`], and the
+//!   analytic solver's [`AnalyticScratch`]. Whichever thread updates a
+//!   site uses that site's workspace, so buffers grow during the first
+//!   sweep and the steady-state sweep performs no heap allocation on any
+//!   thread;
 //! * [`SiteUpdate`] — the per-site result record (damped site message, new
-//!   global message, cavity snapshot, MCMC accounting) workers fill in
+//!   global message, cavity snapshot, MCMC accounting) the farm fills in
 //!   parallel and the driver applies sequentially in site order, keeping
 //!   the merge deterministic.
 
@@ -84,7 +87,7 @@ impl SweepSchedule {
     }
 }
 
-/// Per-worker reusable buffers for one site update.
+/// Per-site reusable buffers for the site's updates.
 ///
 /// Everything a site update needs besides the shared read-only state:
 /// cavity messages/distributions (and their folded log densities), MCMC
@@ -110,8 +113,17 @@ impl SiteWorkspace {
     }
 }
 
-/// The result of one site update, staged by a worker and merged by the
-/// driver.
+/// One site's staging area in the farm: its [`SiteUpdate`] record and the
+/// [`SiteWorkspace`] its updates run in. The farm participant that takes
+/// the site locks its slot, uncontended.
+#[derive(Debug, Default)]
+pub(crate) struct SiteSlot {
+    pub(crate) out: SiteUpdate,
+    pub(crate) ws: SiteWorkspace,
+}
+
+/// The result of one site update, staged by a farm participant and merged
+/// by the driver.
 #[derive(Debug, Clone, Default)]
 pub struct SiteUpdate {
     /// Global variable indices of the site (copied so the driver can apply
